@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the robust estimators: FastMCD training
 //! versus metric dimensionality (Figure 10), MAD training versus sample
-//! size (Figure 9), and the C-step Mahalanobis-distance pass — the FastMCD
-//! hot path the ROADMAP's profiling item tracks, and the pass that fans out
-//! on the mb-pool work-stealing pool for large samples.
+//! size (Figure 9), and the two halves of a C-step — the Mahalanobis
+//! distance pass (which fans out on the mb-pool work-stealing pool for
+//! large samples) and the selection of the `h` nearest rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mb_stats::mad::MadEstimator;
@@ -31,10 +31,12 @@ fn mcd_train_by_dimension(c: &mut Criterion) {
 }
 
 /// One C-step costs a full Mahalanobis-distance pass over the sample plus a
-/// sort; the pass dominates and is what `mb_pool::parallel_for` scatters.
-/// `squared_mahalanobis_batch` is that exact pass, benchmarked here per row
-/// count so pool-size changes (`--threads` on the harness binaries, thread
-/// count in CI) have a number to move.
+/// selection; the pass is what `mb_pool::parallel_for` scatters. Both
+/// cases run the C-step's row-blocked kernel per row count, so pool-size
+/// changes (`--threads` on the harness binaries, thread count in CI) have
+/// a number to move: `squared_mahalanobis_batch` takes row vectors (and
+/// flattens them first), `flat` scores the row-major buffer training
+/// works on (plus a clamp-and-sqrt per row).
 fn mcd_c_step_distance_pass(c: &mut Criterion) {
     let dim = 8;
     let mut rng = SplitMix64::new(17);
@@ -54,7 +56,84 @@ fn mcd_c_step_distance_pass(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(rows), &sample, |b, sample| {
             b.iter(|| est.squared_mahalanobis_batch(sample).expect("distance pass failed"))
         });
+        let flat: Vec<f64> = sample.concat();
+        group.bench_with_input(BenchmarkId::new("flat", rows), &flat, |b, flat| {
+            b.iter(|| {
+                est.score_batch_flat(flat, dim)
+                    .expect("distance pass failed")
+            })
+        });
     }
+    group.finish();
+}
+
+/// The other half of a C-step: picking the `h` smallest `(d², row)` pairs
+/// in ascending order. `stable_sort` is a full stable sort by `d²`;
+/// `select_prefix_sort` partitions the `h` smallest to the front, then
+/// sorts only them, keyed on `(d², row index)` so the prefix is exactly
+/// the stable sort's; `select_prefix_sort_packed` is the same selection on
+/// the key packed into one `u128` (total-order bits of `d²` high, row
+/// index low), which is what `mcd.rs` runs. All three include copying the
+/// pass output, as the C-step reuses its buffer.
+fn mcd_c_step_select(c: &mut Criterion) {
+    let (n, h) = (10_000usize, 5_000usize);
+    let mut rng = SplitMix64::new(29);
+    // Chi-square-like distances, one per row in row order, as the pass
+    // emits them.
+    let distances: Vec<(f64, usize)> = (0..n)
+        .map(|row| (normal(&mut rng, 0.0, 1.0).powi(2), row))
+        .collect();
+    let by_key = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    let mut group = c.benchmark_group("mcd_c_step_select");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(n as u64));
+    let mut scratch = distances.clone();
+    group.bench_with_input(
+        BenchmarkId::new("stable_sort", n),
+        &distances,
+        |b, distances| {
+            b.iter(|| {
+                scratch.copy_from_slice(distances);
+                scratch.sort_by(|a, b| a.0.total_cmp(&b.0));
+                scratch[h - 1].1
+            })
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("select_prefix_sort", n),
+        &distances,
+        |b, distances| {
+            b.iter(|| {
+                scratch.copy_from_slice(distances);
+                scratch.select_nth_unstable_by(h - 1, by_key);
+                scratch[..h].sort_unstable_by(by_key);
+                scratch[h - 1].1
+            })
+        },
+    );
+    // `f64::total_cmp` order as unsigned integer order: flip the magnitude
+    // bits of negatives, then the sign bit.
+    let packed: Vec<u128> = distances
+        .iter()
+        .map(|&(d2, row)| {
+            let bits = d2.to_bits();
+            let ordered = bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63);
+            (u128::from(ordered) << 64) | row as u128
+        })
+        .collect();
+    let mut packed_scratch = packed.clone();
+    group.bench_with_input(
+        BenchmarkId::new("select_prefix_sort_packed", n),
+        &packed,
+        |b, packed| {
+            b.iter(|| {
+                packed_scratch.copy_from_slice(packed);
+                packed_scratch.select_nth_unstable(h - 1);
+                packed_scratch[..h].sort_unstable();
+                packed_scratch[h - 1] as u64
+            })
+        },
+    );
     group.finish();
 }
 
@@ -182,6 +261,7 @@ criterion_group!(
     benches,
     mcd_train_by_dimension,
     mcd_c_step_distance_pass,
+    mcd_c_step_select,
     mcd_single_c_step_train,
     mcd_inverse_vs_factors,
     mcd_parallel_restarts,

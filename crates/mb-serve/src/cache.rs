@@ -51,6 +51,33 @@ struct Slot {
     cond: Condvar,
 }
 
+/// The error a slot publishes when its trainer panicked.
+const TRAINER_PANICKED: &str = "model training panicked";
+
+/// Publishes the trainer's outcome on drop and wakes every waiter. It
+/// starts out holding a failure, so a `train` closure that unwinds still
+/// leaves its slot `Failed` rather than `Training` forever — waiters get
+/// an error instead of blocking on a condvar nobody will signal again.
+struct PublishOnDrop<'a> {
+    slot: &'a Slot,
+    state: SlotState,
+}
+
+impl Drop for PublishOnDrop<'_> {
+    fn drop(&mut self) {
+        // The slot lock is never held while `train` runs, so it cannot be
+        // poisoned by the trainer's panic; recovering keeps this drop (which
+        // may run during an unwind) from panicking regardless.
+        let mut state = self
+            .slot
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *state = std::mem::replace(&mut self.state, SlotState::Training);
+        self.slot.cond.notify_all();
+    }
+}
+
 /// The cache proper: fingerprint-keyed slots.
 pub struct ModelCache {
     slots: Mutex<HashMap<Fingerprint, Arc<Slot>>>,
@@ -93,21 +120,24 @@ impl ModelCache {
 
         if trainer {
             // Train off every lock: other fingerprints stay available and
-            // same-fingerprint requesters queue on the condvar.
-            let outcome = train();
-            let mut state = slot.state.lock().expect("model slot poisoned");
-            let result = match outcome {
+            // same-fingerprint requesters queue on the condvar. The guard
+            // publishes whatever `train` leaves — including a panic.
+            let mut publish = PublishOnDrop {
+                slot: &slot,
+                state: SlotState::Failed(TRAINER_PANICKED.to_string()),
+            };
+            let result = match train() {
                 Ok(model) => {
                     let snapshot = Arc::new(ModelSnapshot { epoch: 1, model });
-                    *state = SlotState::Ready(Arc::clone(&snapshot));
+                    publish.state = SlotState::Ready(Arc::clone(&snapshot));
                     Ok((snapshot, CacheOutcome::Miss))
                 }
                 Err(message) => {
-                    *state = SlotState::Failed(message.clone());
+                    publish.state = SlotState::Failed(message.clone());
                     Err(message)
                 }
             };
-            slot.cond.notify_all();
+            drop(publish);
             return result;
         }
 
@@ -260,6 +290,69 @@ mod tests {
             .get_or_train(fp, || panic!("failure is sticky; no second attempt"))
             .unwrap_err();
         assert_eq!(err, "boom");
+        assert!(cache.peek(fp).is_none());
+    }
+
+    #[test]
+    fn a_panicking_trainer_fails_its_slot_and_wakes_waiters() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let cache = Arc::new(ModelCache::new());
+        let (fp, _) = fingerprint_and_model();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (waited_tx, waited_rx) = mpsc::channel();
+        let trainer = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.get_or_train(fp, || {
+                        entered_tx.send(()).unwrap();
+                        // Hold the slot in `Training` until the waiter has
+                        // joined it, then die.
+                        release_rx.recv().unwrap();
+                        panic!("trainer died mid-fit");
+                    })
+                }))
+                .is_err()
+            })
+        };
+        entered_rx.recv().unwrap();
+        let slot = Arc::clone(cache.slots.lock().unwrap().get(&fp).unwrap());
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let outcome = cache.get_or_train(fp, || panic!("the slot already has a trainer"));
+                waited_tx.send(outcome.map(|_| ())).unwrap();
+            })
+        };
+        // The map, the trainer and this test hold the slot; a fourth
+        // holder is the waiter, which from here on either blocks on the
+        // condvar or (if it locks the slot after the panic) reads the
+        // failure directly.
+        while Arc::strong_count(&slot) < 4 {
+            std::thread::yield_now();
+        }
+        assert!(matches!(*slot.state.lock().unwrap(), SlotState::Training));
+        release_tx.send(()).unwrap();
+        // Bounded: a waiter stranded on a `Training` slot fails the test
+        // here instead of hanging it.
+        let waited = waited_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a waiter must not hang behind a panicked trainer");
+        assert_eq!(waited, Err(TRAINER_PANICKED.to_string()));
+        waiter.join().unwrap();
+        assert!(trainer.join().unwrap(), "the trainer's panic propagates");
+        // The slot is `Failed`, not `Training`: later requesters get the
+        // error at once, and nothing was published.
+        assert!(matches!(*slot.state.lock().unwrap(), SlotState::Failed(_)));
+        assert_eq!(
+            cache
+                .get_or_train(fp, || panic!("failure is sticky"))
+                .map(|_| ()),
+            Err(TRAINER_PANICKED.to_string())
+        );
         assert!(cache.peek(fp).is_none());
     }
 }

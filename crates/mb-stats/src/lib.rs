@@ -208,6 +208,28 @@ pub(crate) fn validate_sample(sample: &[Vec<f64>]) -> Result<usize> {
     Ok(dim)
 }
 
+/// Validate a contiguous row-major sample (`dim` values per row) the way
+/// [`Estimator::train_flat`]'s default does before it materializes rows
+/// for [`Estimator::train`]: a zero `dim` or an empty buffer is
+/// [`StatsError::EmptyInput`], a buffer that is not whole rows is
+/// [`StatsError::DimensionMismatch`] (the short last row's length as
+/// `actual`), and a NaN or infinity is [`StatsError::NonFinite`].
+pub(crate) fn validate_flat(flat: &[f64], dim: usize) -> Result<()> {
+    if dim == 0 || flat.is_empty() {
+        return Err(StatsError::EmptyInput);
+    }
+    if flat.len() % dim != 0 {
+        return Err(StatsError::DimensionMismatch {
+            expected: dim,
+            actual: flat.len() % dim,
+        });
+    }
+    if flat.iter().any(|v| !v.is_finite()) {
+        return Err(StatsError::NonFinite);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

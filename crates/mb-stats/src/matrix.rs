@@ -651,20 +651,21 @@ pub fn covariance_matrix(rows: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix)> {
     Ok((means, cov))
 }
 
-/// Sample mean and covariance of the rows of `sample` selected by
-/// `indices`, visited in `indices` order — the arithmetic (and therefore
-/// the bits) matches materializing the selected rows and calling
-/// [`covariance_matrix`], without cloning a single row. FastMCD re-fits a
-/// subset of up to half the sample on *every* C-step, so the clone-free
-/// path matters there.
+/// Sample mean and covariance of the rows of a row-major `flat` buffer
+/// (`dim` values per row) selected by `indices`, visited in `indices`
+/// order — the arithmetic (and therefore the bits) matches materializing
+/// the selected rows and calling [`covariance_matrix`], without copying a
+/// single row. FastMCD re-fits a subset of up to half the sample on
+/// *every* C-step, so the copy-free path matters there.
 ///
-/// Indices are bounds-checked and the selected rows length-checked
-/// (typed errors, no panics). Unlike [`covariance_matrix`], rows are *not*
-/// re-scanned for non-finite values — callers like FastMCD validate the
-/// sample once up front; a NaN row yields a NaN covariance, which the
-/// factorization routines reject as [`StatsError::NonFinite`].
+/// Shape and indices are checked (typed errors, no panics). Unlike
+/// [`covariance_matrix`], rows are *not* re-scanned for non-finite values —
+/// callers like FastMCD validate the sample once up front; a NaN row
+/// yields a NaN covariance, which the factorization routines reject as
+/// [`StatsError::NonFinite`].
 pub fn covariance_of_indices(
-    sample: &[Vec<f64>],
+    flat: &[f64],
+    dim: usize,
     indices: &[usize],
 ) -> Result<(Vec<f64>, Matrix)> {
     if indices.len() < 2 {
@@ -673,53 +674,52 @@ pub fn covariance_of_indices(
             provided: indices.len(),
         });
     }
-    let dim = sample
-        .first()
-        .map(|row| row.len())
-        .ok_or(StatsError::EmptyInput)?;
-    for &idx in indices {
-        let row = sample.get(idx).ok_or_else(|| {
-            StatsError::InvalidParameter(format!(
-                "row index {idx} out of bounds for sample of {} rows",
-                sample.len()
-            ))
-        })?;
-        if row.len() != dim {
-            return Err(StatsError::DimensionMismatch {
-                expected: dim,
-                actual: row.len(),
-            });
-        }
+    if dim == 0 || flat.is_empty() {
+        return Err(StatsError::EmptyInput);
     }
+    if flat.len() % dim != 0 {
+        return Err(StatsError::DimensionMismatch {
+            expected: dim,
+            actual: flat.len() % dim,
+        });
+    }
+    let rows = flat.len() / dim;
+    if let Some(&idx) = indices.iter().find(|&&idx| idx >= rows) {
+        return Err(StatsError::InvalidParameter(format!(
+            "row index {idx} out of bounds for sample of {rows} rows"
+        )));
+    }
+    let row_of = |idx: usize| &flat[idx * dim..(idx + 1) * dim];
     let mut means = vec![0.0; dim];
     for &idx in indices {
-        for (m, v) in means.iter_mut().zip(sample[idx].iter()) {
+        for (m, v) in means.iter_mut().zip(row_of(idx)) {
             *m += v;
         }
     }
     let n = indices.len() as f64;
     means.iter_mut().for_each(|m| *m /= n);
-    let mut cov = Matrix::zeros(dim, dim);
+    // Upper triangle, accumulated per entry in `indices` order: entry
+    // (i, j) adds `(row[i] - mean[i]) * (row[j] - mean[j])` row by row,
+    // exactly as `covariance_matrix` does.
+    let mut cov = vec![0.0; dim * dim];
     for &idx in indices {
-        let row = &sample[idx];
+        let row = row_of(idx);
         for i in 0..dim {
             let di = row[i] - means[i];
-            for j in i..dim {
-                let dj = row[j] - means[j];
-                cov[(i, j)] += di * dj;
+            let upper = &mut cov[i * dim + i..(i + 1) * dim];
+            for ((c, r), m) in upper.iter_mut().zip(&row[i..]).zip(&means[i..]) {
+                *c += di * (r - m);
             }
         }
     }
     let denom = (indices.len() - 1) as f64;
     for i in 0..dim {
         for j in i..dim {
-            cov[(i, j)] /= denom;
-            if i != j {
-                cov[(j, i)] = cov[(i, j)];
-            }
+            cov[i * dim + j] /= denom;
+            cov[j * dim + i] = cov[i * dim + j];
         }
     }
-    Ok((means, cov))
+    Ok((means, Matrix::from_vec(dim, dim, cov)))
 }
 
 #[cfg(test)]
@@ -990,34 +990,38 @@ mod tests {
 
     #[test]
     fn covariance_of_indices_matches_materialized_covariance() {
-        let sample = vec![
+        let sample = [
             vec![2.0, 8.0],
             vec![4.0, 10.0],
             vec![6.0, 12.0],
             vec![8.0, 14.0],
             vec![1.0, -3.0],
         ];
+        let flat: Vec<f64> = sample.concat();
         let indices = [3usize, 0, 4, 2];
         let rows: Vec<Vec<f64>> = indices.iter().map(|&i| sample[i].clone()).collect();
         let (mean_ref, cov_ref) = covariance_matrix(&rows).unwrap();
-        let (mean, cov) = covariance_of_indices(&sample, &indices).unwrap();
+        let (mean, cov) = covariance_of_indices(&flat, 2, &indices).unwrap();
         assert_eq!(mean, mean_ref);
         assert_eq!(cov, cov_ref);
         assert!(matches!(
-            covariance_of_indices(&sample, &[0]),
+            covariance_of_indices(&flat, 2, &[0]),
             Err(StatsError::InsufficientData { .. })
         ));
-        // Out-of-range indices and ragged selected rows are typed errors,
-        // not panics.
+        // Out-of-range indices and a buffer that is not whole rows are
+        // typed errors, not panics.
         assert!(matches!(
-            covariance_of_indices(&sample, &[0, 99]),
+            covariance_of_indices(&flat, 2, &[0, 99]),
             Err(StatsError::InvalidParameter(_))
         ));
-        let ragged = vec![vec![1.0, 2.0], vec![3.0]];
         assert!(matches!(
-            covariance_of_indices(&ragged, &[0, 1]),
+            covariance_of_indices(&[1.0, 2.0, 3.0], 2, &[0, 1]),
             Err(StatsError::DimensionMismatch { .. })
         ));
+        assert_eq!(
+            covariance_of_indices(&flat, 0, &[0, 1]),
+            Err(StatsError::EmptyInput)
+        );
     }
 
     #[test]

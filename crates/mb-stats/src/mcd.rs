@@ -27,6 +27,20 @@
 //! ([`SpdFactors`]: Cholesky for the SPD covariance, LU fallback), from
 //! which the inverse (distance pass) and log-determinant (convergence and
 //! merge) are both derived.
+//!
+//! Training works on one contiguous row-major buffer (`dim` values per
+//! row): [`Estimator::train_flat`] fits on the caller's buffer as is, and
+//! the row-major entry points flatten once. Every distance — C-step,
+//! batch scoring, single-point scoring — comes from one kernel that
+//! computes four rows at a time with each row's additions in the serial
+//! order. A C-step then selects the `h` smallest distances
+//! (`select_nth_unstable` plus a sort of that prefix only) under the key
+//! `(d²` by `total_cmp`, row index`)`, packed into one `u128` so a
+//! comparison is a single integer compare. The pass emits rows in index
+//! order, so that prefix is exactly the first `h` entries of a stable
+//! sort by `d²`, in the same order: the covariance refit sums the same
+//! rows in the same order, and fits stay bit-identical to the row-major,
+//! fully sorted formulation.
 
 use crate::matrix::{covariance_of_indices, Matrix, SpdFactors};
 use crate::rand_ext::SplitMix64;
@@ -38,57 +52,122 @@ use mb_pool::Pool;
 /// than the queue round-trip, so the pass runs inline on the caller.
 const DISTANCE_GRAIN: usize = 2048;
 
-/// Squared Mahalanobis distance of `row` under `(mean, inv)`, shared by the
-/// serial scoring path and the parallel C-step distance pass. `centered` is
-/// caller-provided scratch of dimension length: the kernel is allocation-
-/// free, which matters because it runs once per row per C-step. The
-/// accumulation order matches the original `matvec`-based kernel
-/// bit-for-bit.
-#[inline]
-fn squared_distance(inv: &Matrix, mean: &[f64], row: &[f64], centered: &mut [f64]) -> f64 {
-    debug_assert_eq!(row.len(), mean.len());
-    debug_assert_eq!(centered.len(), mean.len());
-    for ((c, r), m) in centered.iter_mut().zip(row.iter()).zip(mean.iter()) {
-        *c = r - m;
-    }
-    let mut total = 0.0;
-    for (i, &ci) in centered.iter().enumerate() {
-        let row_i = inv.row(i);
-        let transformed: f64 = row_i
-            .iter()
-            .zip(centered.iter())
-            .map(|(a, b)| a * b)
-            .sum();
-        total += ci * transformed;
-    }
-    total
+/// Rows per block of the distance kernel: four independent add chains
+/// are enough to hide floating-point add latency at every dimension.
+const BLOCK: usize = 4;
+
+/// Squared Mahalanobis distances of the rows of `rows` (row-major,
+/// `mean.len()` values per row) under `(mean, inv)`, written into `out`
+/// through `put(row offset, d²)` — one slot per row. This is the only
+/// distance kernel: the C-step, batch scoring and single-point scoring all
+/// call it. Whole blocks of [`BLOCK`] rows go through the blocked body; the
+/// remaining rows go through the same body one row at a time.
+fn squared_distances<T>(
+    inv: &Matrix,
+    mean: &[f64],
+    rows: &[f64],
+    out: &mut [T],
+    put: impl Fn(usize, f64) -> T,
+) {
+    let dim = mean.len();
+    debug_assert_eq!(rows.len(), out.len() * dim);
+    debug_assert_eq!(inv.as_slice().len(), dim * dim);
+    let blocked = out.len() - out.len() % BLOCK;
+    let (head, tail) = out.split_at_mut(blocked);
+    let (head_rows, tail_rows) = rows.split_at(blocked * dim);
+    squared_distances_by::<BLOCK, T>(inv, mean, head_rows, head, &put);
+    squared_distances_by::<1, T>(inv, mean, tail_rows, tail, |row, d2| put(blocked + row, d2));
 }
 
-/// Fill `distances` with `(d², row index)` for every row of `sample` under
-/// `(mean, inv)`, scattering chunks onto `pool` when the sample is large
-/// enough to amortize submission. Scratch is per *chunk*, not per row, so
-/// the pass performs O(tasks) allocations instead of O(rows). The
-/// arithmetic per row is identical to the serial loop, so results are
-/// bit-identical regardless of thread count.
-fn distance_pass(
+/// The kernel body, `B` rows at a time. The block's centered rows are
+/// stored column-interleaved (`centered[j][k]` is row `k`'s `j`-th value)
+/// so every step updates `B` independent accumulators, but each row keeps
+/// the serial formulation's accumulation order: `c = row - mean`, then for
+/// each `i`, `t_i = Σ_j inv[i][j]·c[j]` left to right, and
+/// `d² = Σ_i c[i]·t_i` left to right from `+0.0`. (The serial `.sum()`
+/// starts `t_i` from `-0.0`; that can only flip the sign of a zero `t_i`,
+/// and a signed zero added to `d²` leaves it unchanged.) So a row's
+/// distance does not depend on `B`, its neighbours or the chunking.
+fn squared_distances_by<const B: usize, T>(
+    inv: &Matrix,
+    mean: &[f64],
+    rows: &[f64],
+    out: &mut [T],
+    put: impl Fn(usize, f64) -> T,
+) {
+    let dim = mean.len();
+    let mut centered = vec![[0.0; B]; dim];
+    for (block, (rows, slots)) in rows
+        .chunks_exact(B * dim)
+        .zip(out.chunks_exact_mut(B))
+        .enumerate()
+    {
+        for (k, row) in rows.chunks_exact(dim).enumerate() {
+            for ((c, r), m) in centered.iter_mut().zip(row).zip(mean) {
+                c[k] = r - m;
+            }
+        }
+        let mut totals = [0.0; B];
+        for (inv_i, c_i) in inv.as_slice().chunks_exact(dim).zip(&centered) {
+            let mut t = [0.0; B];
+            for (a, c_j) in inv_i.iter().zip(&centered) {
+                for (t, c) in t.iter_mut().zip(c_j) {
+                    *t += a * c;
+                }
+            }
+            for ((total, c), t) in totals.iter_mut().zip(c_i).zip(&t) {
+                *total += c * t;
+            }
+        }
+        for (k, (slot, &d2)) in slots.iter_mut().zip(&totals).enumerate() {
+            *slot = put(block * B + k, d2);
+        }
+    }
+}
+
+/// Fill `out` with one `put(row index, d²)` per row of the row-major `flat`
+/// buffer under `(mean, inv)`, scattering row chunks onto `pool` when the
+/// buffer is large enough to amortize submission. Each row's arithmetic is
+/// the kernel's fixed order, so results are bit-identical regardless of
+/// thread count or chunking.
+fn distance_pass<T: Send>(
     pool: &Pool,
-    sample: &[Vec<f64>],
+    flat: &[f64],
     mean: &[f64],
     inv: &Matrix,
-    distances: &mut Vec<(f64, usize)>,
+    out: &mut [T],
+    put: impl Fn(usize, f64) -> T + Sync,
 ) {
-    distances.clear();
-    distances.resize(sample.len(), (0.0, 0));
-    pool.parallel_for(distances, DISTANCE_GRAIN, |start, chunk| {
-        let mut centered = vec![0.0; mean.len()];
-        for (offset, slot) in chunk.iter_mut().enumerate() {
-            let index = start + offset;
-            *slot = (
-                squared_distance(inv, mean, &sample[index], &mut centered),
-                index,
-            );
-        }
+    let dim = mean.len();
+    pool.parallel_for(out, DISTANCE_GRAIN, |start, chunk| {
+        let rows = &flat[start * dim..(start + chunk.len()) * dim];
+        squared_distances(inv, mean, rows, chunk, |offset, d2| put(start + offset, d2));
     });
+}
+
+/// `x`'s bits reordered so that unsigned integer order is the IEEE total
+/// order [`f64::total_cmp`] uses: `total_cmp` flips the magnitude bits of
+/// negative values and compares as signed; flipping the sign bit as well
+/// makes the comparison unsigned.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63)
+}
+
+/// The C-step's selection key for `row` at squared distance `d2`:
+/// [`total_order_bits`] of `d2` in the high half, the row index in the low
+/// half. Integer order on keys is the order "ascending `d2` under
+/// `total_cmp`, ties by ascending row index" — a strict total order, as row
+/// indices are unique — at the cost of one 128-bit compare.
+fn selection_key(row: usize, d2: f64) -> u128 {
+    (u128::from(total_order_bits(d2)) << 64) | row as u128
+}
+
+/// Whether a selection key holds a NaN distance: NaNs are the only values
+/// ordered above +∞ or below −∞.
+fn is_nan_key(key: u128) -> bool {
+    let bits = (key >> 64) as u64;
+    bits > total_order_bits(f64::INFINITY) || bits < total_order_bits(f64::NEG_INFINITY)
 }
 
 /// Configuration for the FastMCD estimator.
@@ -180,8 +259,9 @@ impl McdEstimator {
                 actual: x.len(),
             });
         }
-        let mut centered = vec![0.0; self.mean.len()];
-        Ok(squared_distance(inv, &self.mean, x, &mut centered).max(0.0))
+        let mut d2 = [0.0];
+        squared_distances(inv, &self.mean, x, &mut d2, |_, d2| d2);
+        Ok(d2[0].max(0.0))
     }
 
     /// Mahalanobis distance (square root of [`squared_mahalanobis`]).
@@ -191,16 +271,17 @@ impl McdEstimator {
         Ok(self.squared_mahalanobis(x)?.sqrt())
     }
 
-    /// Compute mean, covariance, and covariance factors of the rows
-    /// selected by `indices` — without cloning a single row — ridge-
+    /// Compute mean, covariance, and covariance factors of the rows of
+    /// `flat` selected by `indices` — without copying a single row — ridge-
     /// regularizing the covariance until it factors. The factors are the
     /// *only* decomposition a C-step performs: the caller derives both the
     /// inverse and the log-determinant from them.
     fn fit_subset(
-        sample: &[Vec<f64>],
+        flat: &[f64],
+        dim: usize,
         indices: &[usize],
     ) -> Result<(Vec<f64>, Matrix, SpdFactors)> {
-        let (mean, mut cov) = covariance_of_indices(sample, indices)?;
+        let (mean, mut cov) = covariance_of_indices(flat, dim, indices)?;
         // Ridge-regularize until factorable; degenerate subsets (e.g.
         // repeated points) otherwise break the C-step.
         let mut ridge = 1e-9;
@@ -216,28 +297,39 @@ impl McdEstimator {
         }
     }
 
-    /// One C-step: given a fit's inverse scatter, select the `h` points
-    /// with the smallest Mahalanobis distances under it. The distance pass
-    /// — the dominant cost of FastMCD training — fans out across `pool`
-    /// for large samples. A NaN distance (a numerically destroyed fit)
-    /// fails the step: silently sorting NaNs used to make the selected
-    /// subset depend on the sort's encounter order.
+    /// One C-step: given a fit's inverse scatter, select the `h` rows of
+    /// `flat` with the smallest Mahalanobis distances under it, in
+    /// ascending `(d², row index)` order. The distance pass fans out
+    /// across `pool` for large samples and emits one [`selection_key`] per
+    /// row; selection partitions the `h` smallest keys to the front and
+    /// sorts only that prefix. A NaN distance (a numerically destroyed fit)
+    /// fails the step: it has no meaningful place in the order.
     fn c_step(
         pool: &Pool,
-        sample: &[Vec<f64>],
+        flat: &[f64],
         mean: &[f64],
         inv: &Matrix,
         h: usize,
-        distances: &mut Vec<(f64, usize)>,
+        keys: &mut Vec<u128>,
     ) -> Result<Vec<usize>> {
-        distance_pass(pool, sample, mean, inv, distances);
-        if distances.iter().any(|(d2, _)| d2.is_nan()) {
+        keys.clear();
+        keys.resize(flat.len() / mean.len(), 0);
+        distance_pass(pool, flat, mean, inv, keys, selection_key);
+        if keys.iter().any(|&key| is_nan_key(key)) {
             return Err(StatsError::NonFinite);
         }
-        // Total order (no NaNs remain), stable so equal distances keep
-        // ascending row order.
-        distances.sort_by(|a, b| a.0.total_cmp(&b.0));
-        Ok(distances.iter().take(h).map(|&(_, idx)| idx).collect())
+        debug_assert!(
+            (1..=keys.len()).contains(&h),
+            "h = {h} of {} rows",
+            keys.len()
+        );
+        // The pass emits rows in ascending index order, so the `h`
+        // smallest keys, sorted, are exactly the first `h` entries a
+        // stable sort by `d²` alone would give.
+        keys.select_nth_unstable(h - 1);
+        let selected = &mut keys[..h];
+        selected.sort_unstable();
+        Ok(selected.iter().map(|&key| key as u64 as usize).collect())
     }
 
     /// One full FastMCD restart: draw an elemental start with the restart-
@@ -251,12 +343,12 @@ impl McdEstimator {
     fn run_restart(
         config: &FastMcdConfig,
         pool: &Pool,
-        sample: &[Vec<f64>],
+        flat: &[f64],
         dim: usize,
         h: usize,
         start_index: usize,
     ) -> Result<RestartFit> {
-        let n = sample.len();
+        let n = flat.len() / dim;
         let mut rng = SplitMix64::new(config.seed).split(start_index as u64);
         // Initial subset: d + 1 random distinct points (FastMCD's elemental
         // start), falling back to 2 points when the sample is tiny.
@@ -268,15 +360,15 @@ impl McdEstimator {
             indices.swap(i, j);
         }
         let mut subset: Vec<usize> = indices[..init_size].to_vec();
-        let mut distances: Vec<(f64, usize)> = Vec::with_capacity(n);
+        let mut keys: Vec<u128> = Vec::with_capacity(n);
 
-        let (mut mean, mut cov, mut factors) = Self::fit_subset(sample, &subset)?;
+        let (mut mean, mut cov, mut factors) = Self::fit_subset(flat, dim, &subset)?;
         let mut logdet = factors.log_abs_determinant();
 
         for _iter in 0..config.max_iterations {
             let inv = factors.inverse();
-            subset = Self::c_step(pool, sample, &mean, &inv, h, &mut distances)?;
-            let (new_mean, new_cov, new_factors) = Self::fit_subset(sample, &subset)?;
+            subset = Self::c_step(pool, flat, &mean, &inv, h, &mut keys)?;
+            let (new_mean, new_cov, new_factors) = Self::fit_subset(flat, dim, &subset)?;
             let new_logdet = new_factors.log_abs_determinant();
             mean = new_mean;
             cov = new_cov;
@@ -301,13 +393,19 @@ impl McdEstimator {
     /// best-of-restarts merge is by lowest covariance log-determinant with
     /// ties broken by restart index, so the fit is a pure function of
     /// `(sample, config)` — bit-identical at any thread count, including
-    /// `Pool::new(1)`.
+    /// `Pool::new(1)`, and to [`Estimator::train_flat`] on the same rows.
     ///
     /// A failed restart (degenerate beyond ridging, NaN distances) is
     /// skipped; training errors only when *every* restart fails.
     pub fn train_on_pool(&mut self, pool: &Pool, sample: &[Vec<f64>]) -> Result<()> {
         let dim = crate::validate_sample(sample)?;
-        let n = sample.len();
+        self.fit_validated(pool, &sample.concat(), dim)
+    }
+
+    /// The FastMCD fit proper, on a validated (non-empty, whole-row,
+    /// finite) row-major buffer.
+    fn fit_validated(&mut self, pool: &Pool, flat: &[f64], dim: usize) -> Result<()> {
+        let n = flat.len() / dim;
         // Need enough points for a non-degenerate covariance of a subset.
         let min_required = (dim + 2).max(4);
         if n < min_required {
@@ -332,7 +430,7 @@ impl McdEstimator {
         let config = &self.config;
         let starts: Vec<usize> = (0..self.config.num_starts.max(1)).collect();
         let results: Vec<Result<RestartFit>> = pool.map_vec(starts, |start| {
-            Self::run_restart(config, pool, sample, dim, h, start)
+            Self::run_restart(config, pool, flat, dim, h, start)
         });
 
         // Gather: deterministic best-of-restarts merge — lowest covariance
@@ -368,22 +466,53 @@ impl McdEstimator {
 
     /// Squared Mahalanobis distances of every row of `rows` from the fitted
     /// distribution, computed in parallel on the shared pool — the same
-    /// pass a C-step performs during training, exposed for batch scoring
+    /// kernel a C-step runs during training, exposed for batch scoring
     /// and the hot-path micro-benchmarks.
     pub fn squared_mahalanobis_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>> {
-        let inv = self
-            .inverse_covariance
-            .as_ref()
-            .ok_or(StatsError::NotTrained)?;
+        if self.inverse_covariance.is_none() {
+            return Err(StatsError::NotTrained);
+        }
         if let Some(row) = rows.iter().find(|row| row.len() != self.mean.len()) {
             return Err(StatsError::DimensionMismatch {
                 expected: self.mean.len(),
                 actual: row.len(),
             });
         }
-        let mut distances = Vec::new();
-        distance_pass(mb_pool::global(), rows, &self.mean, inv, &mut distances);
-        Ok(distances.into_iter().map(|(d2, _)| d2.max(0.0)).collect())
+        self.map_distances(&rows.concat(), self.mean.len(), |d2| d2.max(0.0))
+    }
+
+    /// `f(d²)` for every row of the row-major `flat` buffer, in row order,
+    /// via the pool-scattered distance pass.
+    fn map_distances(
+        &self,
+        flat: &[f64],
+        dim: usize,
+        f: impl Fn(f64) -> f64 + Sync,
+    ) -> Result<Vec<f64>> {
+        let inv = self
+            .inverse_covariance
+            .as_ref()
+            .ok_or(StatsError::NotTrained)?;
+        if dim != self.mean.len() || flat.len() % self.mean.len() != 0 {
+            return Err(StatsError::DimensionMismatch {
+                expected: self.mean.len(),
+                actual: if dim != self.mean.len() {
+                    dim
+                } else {
+                    flat.len() % self.mean.len()
+                },
+            });
+        }
+        let mut out = vec![0.0; flat.len() / dim];
+        distance_pass(
+            mb_pool::global(),
+            flat,
+            &self.mean,
+            inv,
+            &mut out,
+            |_, d2| f(d2),
+        );
+        Ok(out)
     }
 }
 
@@ -401,6 +530,14 @@ impl Estimator for McdEstimator {
         self.train_on_pool(mb_pool::global(), sample)
     }
 
+    // Fit straight off the caller's row-major buffer. Validation reports
+    // what the default (materialize rows, then `train`) would: shape
+    // first, then finiteness — all before any restart runs.
+    fn train_flat(&mut self, flat: &[f64], dim: usize) -> Result<()> {
+        crate::validate_flat(flat, dim)?;
+        self.fit_validated(mb_pool::global(), flat, dim)
+    }
+
     fn score(&self, metrics: &[f64]) -> Result<f64> {
         self.mahalanobis(metrics)
     }
@@ -416,39 +553,218 @@ impl Estimator for McdEstimator {
     }
 
     fn score_batch_flat(&self, flat: &[f64], dim: usize) -> Result<Vec<f64>> {
-        // Same parallel distance pass over the contiguous row-major buffer;
-        // per-row arithmetic and clamp-and-sqrt are identical to `score`,
-        // so results are bit-identical regardless of layout or threads.
-        let inv = self
-            .inverse_covariance
-            .as_ref()
-            .ok_or(StatsError::NotTrained)?;
-        if dim != self.mean.len() || flat.len() % self.mean.len() != 0 {
-            return Err(StatsError::DimensionMismatch {
-                expected: self.mean.len(),
-                actual: if dim != self.mean.len() {
-                    dim
-                } else {
-                    flat.len() % self.mean.len()
-                },
-            });
-        }
-        let mut scores = vec![0.0; flat.len() / dim];
-        let mean = &self.mean;
-        mb_pool::global().parallel_for(&mut scores, DISTANCE_GRAIN, |start, chunk| {
-            let mut centered = vec![0.0; dim];
-            for (offset, slot) in chunk.iter_mut().enumerate() {
-                let row = &flat[(start + offset) * dim..(start + offset + 1) * dim];
-                *slot = squared_distance(inv, mean, row, &mut centered)
-                    .max(0.0)
-                    .sqrt();
-            }
-        });
-        Ok(scores)
+        // The same kernel and clamp-and-sqrt as `score`, so results are
+        // bit-identical regardless of layout or threads.
+        self.map_distances(flat, dim, |d2| d2.max(0.0).sqrt())
     }
 
     fn dimension(&self) -> Option<usize> {
         self.covariance.as_ref().map(|_| self.mean.len())
+    }
+}
+
+/// The row-major FastMCD this module used before the flat kernel: one
+/// `Vec<f64>` per row, a serial per-row distance loop, a full stable sort
+/// per C-step and a row-major covariance refit. Kept verbatim in its
+/// arithmetic as the oracle the bit-identity tests compare against.
+#[cfg(test)]
+mod reference {
+    use super::{FastMcdConfig, DISTANCE_GRAIN};
+    use crate::matrix::{Matrix, SpdFactors};
+    use crate::rand_ext::SplitMix64;
+    use crate::{Result, StatsError};
+    use mb_pool::Pool;
+
+    /// A trained reference model: location, scatter and inverse scatter.
+    pub(super) struct Fit {
+        pub mean: Vec<f64>,
+        pub cov: Matrix,
+        pub inv: Matrix,
+    }
+
+    fn squared_distance(inv: &Matrix, mean: &[f64], row: &[f64], centered: &mut [f64]) -> f64 {
+        for ((c, r), m) in centered.iter_mut().zip(row.iter()).zip(mean.iter()) {
+            *c = r - m;
+        }
+        let mut total = 0.0;
+        for (i, &ci) in centered.iter().enumerate() {
+            let row_i = inv.row(i);
+            let transformed: f64 = row_i.iter().zip(centered.iter()).map(|(a, b)| a * b).sum();
+            total += ci * transformed;
+        }
+        total
+    }
+
+    fn distance_pass(
+        pool: &Pool,
+        sample: &[Vec<f64>],
+        mean: &[f64],
+        inv: &Matrix,
+        distances: &mut Vec<(f64, usize)>,
+    ) {
+        distances.clear();
+        distances.resize(sample.len(), (0.0, 0));
+        pool.parallel_for(distances, DISTANCE_GRAIN, |start, chunk| {
+            let mut centered = vec![0.0; mean.len()];
+            for (offset, slot) in chunk.iter_mut().enumerate() {
+                let index = start + offset;
+                *slot = (
+                    squared_distance(inv, mean, &sample[index], &mut centered),
+                    index,
+                );
+            }
+        });
+    }
+
+    fn covariance_of_indices(sample: &[Vec<f64>], indices: &[usize]) -> (Vec<f64>, Matrix) {
+        let dim = sample[0].len();
+        let mut means = vec![0.0; dim];
+        for &idx in indices {
+            for (m, v) in means.iter_mut().zip(sample[idx].iter()) {
+                *m += v;
+            }
+        }
+        let n = indices.len() as f64;
+        means.iter_mut().for_each(|m| *m /= n);
+        let mut cov = Matrix::zeros(dim, dim);
+        for &idx in indices {
+            let row = &sample[idx];
+            for i in 0..dim {
+                let di = row[i] - means[i];
+                for j in i..dim {
+                    let dj = row[j] - means[j];
+                    cov[(i, j)] += di * dj;
+                }
+            }
+        }
+        let denom = (indices.len() - 1) as f64;
+        for i in 0..dim {
+            for j in i..dim {
+                cov[(i, j)] /= denom;
+                if i != j {
+                    cov[(j, i)] = cov[(i, j)];
+                }
+            }
+        }
+        (means, cov)
+    }
+
+    fn fit_subset(
+        sample: &[Vec<f64>],
+        indices: &[usize],
+    ) -> Result<(Vec<f64>, Matrix, SpdFactors)> {
+        let (mean, mut cov) = covariance_of_indices(sample, indices);
+        let mut ridge = 1e-9;
+        loop {
+            match SpdFactors::factor(&cov) {
+                Ok(factors) => return Ok((mean, cov, factors)),
+                Err(e) if ridge >= 1e3 => return Err(e),
+                Err(_) => {
+                    cov.add_diagonal(ridge);
+                    ridge *= 10.0;
+                }
+            }
+        }
+    }
+
+    fn run_restart(
+        config: &FastMcdConfig,
+        pool: &Pool,
+        sample: &[Vec<f64>],
+        dim: usize,
+        h: usize,
+        start_index: usize,
+    ) -> Result<(f64, Vec<f64>, Matrix, SpdFactors)> {
+        let n = sample.len();
+        let mut rng = SplitMix64::new(config.seed).split(start_index as u64);
+        let init_size = (dim + 1).min(n).max(2);
+        let mut indices: Vec<usize> = (0..n).collect();
+        for i in 0..init_size {
+            let j = i + rng.next_below(n - i);
+            indices.swap(i, j);
+        }
+        let mut subset: Vec<usize> = indices[..init_size].to_vec();
+        let mut distances: Vec<(f64, usize)> = Vec::with_capacity(n);
+        let (mut mean, mut cov, mut factors) = fit_subset(sample, &subset)?;
+        let mut logdet = factors.log_abs_determinant();
+        for _iter in 0..config.max_iterations {
+            let inv = factors.inverse();
+            distance_pass(pool, sample, &mean, &inv, &mut distances);
+            if distances.iter().any(|(d2, _)| d2.is_nan()) {
+                return Err(StatsError::NonFinite);
+            }
+            // The full stable sort: equal distances keep ascending row
+            // order.
+            distances.sort_by(|a, b| a.0.total_cmp(&b.0));
+            subset = distances.iter().take(h).map(|&(_, idx)| idx).collect();
+            let (new_mean, new_cov, new_factors) = fit_subset(sample, &subset)?;
+            let new_logdet = new_factors.log_abs_determinant();
+            mean = new_mean;
+            cov = new_cov;
+            factors = new_factors;
+            let converged = (logdet - new_logdet).abs() < config.tolerance;
+            logdet = new_logdet;
+            if converged {
+                break;
+            }
+        }
+        Ok((logdet, mean, cov, factors))
+    }
+
+    /// Train on `sample` (validated by the caller) exactly as the
+    /// row-major implementation did.
+    pub(super) fn train(config: &FastMcdConfig, pool: &Pool, sample: &[Vec<f64>]) -> Result<Fit> {
+        let dim = crate::validate_sample(sample)?;
+        let n = sample.len();
+        let min_required = (dim + 2).max(4);
+        if n < min_required {
+            return Err(StatsError::InsufficientData {
+                required: min_required,
+                provided: n,
+            });
+        }
+        let h = ((n as f64 * config.support_fraction).ceil() as usize)
+            .max(dim + 1)
+            .min(n);
+        let starts: Vec<usize> = (0..config.num_starts.max(1)).collect();
+        let results = pool.map_vec(starts, |start| {
+            run_restart(config, pool, sample, dim, h, start)
+        });
+        let mut best: Option<(f64, Vec<f64>, Matrix, SpdFactors)> = None;
+        let mut first_error: Option<StatsError> = None;
+        for result in results {
+            match result {
+                Ok(fit) => {
+                    if best.as_ref().map_or(true, |b| fit.0 < b.0) {
+                        best = Some(fit);
+                    }
+                }
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        let Some((_, mean, cov, factors)) = best else {
+            return Err(first_error.unwrap_or(StatsError::SingularMatrix));
+        };
+        Ok(Fit {
+            mean,
+            inv: factors.inverse(),
+            cov,
+        })
+    }
+
+    /// The per-row scoring loop `score_batch_flat` used to run.
+    pub(super) fn score_flat(fit: &Fit, flat: &[f64]) -> Vec<f64> {
+        let dim = fit.mean.len();
+        let mut centered = vec![0.0; dim];
+        flat.chunks_exact(dim)
+            .map(|row| {
+                squared_distance(&fit.inv, &fit.mean, row, &mut centered)
+                    .max(0.0)
+                    .sqrt()
+            })
+            .collect()
     }
 }
 
@@ -678,13 +994,48 @@ mod tests {
         // must surface that as an error instead of sorting NaNs into an
         // encounter-order-dependent subset.
         let pool = mb_pool::Pool::new(1);
-        let sample = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]];
+        let sample = [0.0, 1.0, 2.0, 3.0];
         let inv = Matrix::from_vec(1, 1, vec![f64::NAN]);
-        let mut distances = Vec::new();
+        let mut keys = Vec::new();
         assert_eq!(
-            McdEstimator::c_step(&pool, &sample, &[0.0], &inv, 2, &mut distances),
+            McdEstimator::c_step(&pool, &sample, &[0.0], &inv, 2, &mut keys),
             Err(StatsError::NonFinite)
         );
+    }
+
+    #[test]
+    fn selection_keys_order_like_total_cmp_then_row() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0,
+            3.5e10,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let pairs: Vec<(f64, usize)> = values.iter().rev().copied().zip(0..).collect();
+        for a in &pairs {
+            for b in &pairs {
+                assert_eq!(
+                    selection_key(a.1, a.0).cmp(&selection_key(b.1, b.0)),
+                    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)),
+                    "{a:?} vs {b:?}"
+                );
+            }
+            assert!(!is_nan_key(selection_key(a.1, a.0)));
+            assert_eq!(selection_key(a.1, a.0) as u64 as usize, a.1);
+        }
+        for nan in [f64::NAN, -f64::NAN, f64::from_bits(0x7FF0_0000_0000_0001)] {
+            assert!(is_nan_key(selection_key(3, nan)));
+        }
     }
 
     #[test]
@@ -712,10 +1063,9 @@ mod tests {
             .max(dim + 1)
             .min(n);
         let pool = mb_pool::Pool::new(2);
+        let flat = sample.concat();
         let outcomes: Vec<bool> = (0..config.num_starts)
-            .map(|start| {
-                McdEstimator::run_restart(&config, &pool, &sample, dim, h, start).is_ok()
-            })
+            .map(|start| McdEstimator::run_restart(&config, &pool, &flat, dim, h, start).is_ok())
             .collect();
         assert!(
             outcomes.iter().any(|&ok| ok) && outcomes.iter().any(|&ok| !ok),
@@ -802,6 +1152,290 @@ mod tests {
                 serial.score(&probe).unwrap(),
                 parallel.score(&probe).unwrap()
             );
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Train on `sample` with the flat path (on `pool`, and through
+    /// `train_flat` on the global pool) and with the row-major reference,
+    /// and require equal outcomes: the same error, or the same location,
+    /// scatter, inverse scatter and scores, to the bit.
+    fn assert_matches_reference(pool: &Pool, sample: &[Vec<f64>]) {
+        let config = FastMcdConfig::default();
+        let reference = reference::train(&config, pool, sample);
+        let flat = sample.concat();
+        let dim = sample[0].len();
+        let mut on_pool = McdEstimator::new(config.clone());
+        let mut columnar = McdEstimator::new(config.clone());
+        let trained = [
+            on_pool.train_on_pool(pool, sample),
+            columnar.train_flat(&flat, dim),
+        ];
+        let fit = match reference {
+            Ok(fit) => fit,
+            Err(e) => {
+                assert_eq!(trained, [Err(e.clone()), Err(e)]);
+                return;
+            }
+        };
+        assert_eq!(trained, [Ok(()), Ok(())]);
+        // Score the training rows plus a few probes off the bulk, so both
+        // full blocks and a short tail reach the kernel.
+        let mut queries = flat.clone();
+        queries.extend((0..3 * dim).map(|i| (i as f64 - 4.0) * 1.7));
+        let expected = reference::score_flat(&fit, &queries);
+        for est in [&on_pool, &columnar] {
+            assert_eq!(bits(est.location().unwrap()), bits(&fit.mean));
+            assert_eq!(
+                bits(est.scatter().unwrap().as_slice()),
+                bits(fit.cov.as_slice())
+            );
+            assert_eq!(
+                bits(est.inverse_scatter().unwrap().as_slice()),
+                bits(fit.inv.as_slice())
+            );
+            assert_eq!(
+                bits(&est.score_batch_flat(&queries, dim).unwrap()),
+                bits(&expected)
+            );
+            let single: Vec<f64> = queries
+                .chunks_exact(dim)
+                .map(|row| est.score(row).unwrap())
+                .collect();
+            assert_eq!(bits(&single), bits(&expected));
+        }
+    }
+
+    /// Sample shapes for the bit-identity tests, combined as bit flags.
+    /// Duplicated rows tie exactly on d² (the row-index tie-break).
+    const DUPLICATES: u8 = 1;
+    /// A constant last column: a singular covariance (the ridge loop).
+    const CONSTANT: u8 = 2;
+    /// Small integer values: rows that mirror each other around an exactly
+    /// representable location tie on d² although they differ.
+    const LATTICE: u8 = 4;
+
+    /// A Gaussian sample of `n` rows in the given `shape`.
+    fn tie_prone_sample(seed: u64, n: usize, dim: usize, shape: u8) -> Vec<Vec<f64>> {
+        let mut rng = SplitMix64::new(seed);
+        let center: Vec<f64> = (0..dim).map(|i| i as f64 * 0.5 - 1.0).collect();
+        let mut sample = gaussian_cloud(&mut rng, n, &center, 1.5);
+        if shape & LATTICE != 0 {
+            sample.iter_mut().flatten().for_each(|v| *v = v.round());
+        }
+        if shape & DUPLICATES != 0 {
+            for i in (n / 2..n).step_by(2) {
+                sample[i] = sample[i - n / 2].clone();
+            }
+        }
+        if shape & CONSTANT != 0 {
+            for row in &mut sample {
+                row[dim - 1] = 7.0;
+            }
+        }
+        sample
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        // The flat, selection-based, row-blocked FastMCD reproduces the
+        // row-major, stable-sort formulation bit for bit: every dimension
+        // 1..=8, every row count modulo the kernel's block of four, every
+        // combination of duplicated rows, a constant column and lattice
+        // values, on one and three workers.
+        #[test]
+        fn flat_training_is_bit_identical_to_the_row_major_reference(
+            seed in 0u64..10_000,
+            dim in 1usize..9,
+            blocks in 3usize..60,
+            tail in 0usize..4,
+            shape in 0u8..8,
+        ) {
+            let sample = tie_prone_sample(seed, 4 * blocks + tail, dim, shape);
+            assert_matches_reference(&Pool::new(1), &sample);
+            assert_matches_reference(&Pool::new(3), &sample);
+        }
+    }
+
+    #[test]
+    fn flat_training_matches_the_reference_across_parallel_chunks() {
+        // Above `DISTANCE_GRAIN` the distance pass splits into chunks whose
+        // lengths are not multiples of the block size; every row count
+        // modulo four must still reproduce the reference.
+        for (n, shape) in [
+            (6_000, DUPLICATES),
+            (6_001, CONSTANT | LATTICE),
+            (4_102, DUPLICATES | CONSTANT),
+            (4_099, LATTICE),
+        ] {
+            let sample = tie_prone_sample(n as u64, n, 3, shape);
+            assert_matches_reference(&Pool::new(3), &sample);
+        }
+    }
+
+    #[test]
+    fn distance_ties_between_distinct_rows_break_by_row_index() {
+        // Samples symmetric about the origin in integer steps: once a fit
+        // centres on the origin exactly, a row and its mirror image tie on
+        // d², and which of them makes the `h` cut decides the next fit. The
+        // order of the mirrors alternates, so neither sign wins every tie.
+        let line: Vec<Vec<f64>> = std::iter::once(vec![0.0])
+            .chain((1..=20).flat_map(|k| {
+                let k = f64::from(k);
+                let sign = if k % 2.0 == 0.0 { 1.0 } else { -1.0 };
+                [vec![sign * k], vec![-sign * k]]
+            }))
+            .collect();
+        let cross: Vec<Vec<f64>> = (1..=10)
+            .flat_map(|k| {
+                let k = f64::from(k);
+                [vec![k, 0.0], vec![0.0, -k], vec![-k, 0.0], vec![0.0, k]]
+            })
+            .collect();
+        // Centred on the origin, the cut at h = 20 falls between a mirror
+        // pair (±10): the C-step must keep the stable sort's choice, the
+        // lower row index, and its order.
+        let flat = line.concat();
+        let mut keys = Vec::new();
+        let selected = McdEstimator::c_step(
+            &Pool::new(1),
+            &flat,
+            &[0.0],
+            &Matrix::identity(1),
+            20,
+            &mut keys,
+        )
+        .unwrap();
+        let mut stable: Vec<(f64, usize)> = flat.iter().map(|x| x * x).zip(0..).collect();
+        stable.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let expected: Vec<usize> = stable[..20].iter().map(|&(_, row)| row).collect();
+        assert_eq!(selected, expected);
+        for sample in [line, cross] {
+            assert_matches_reference(&Pool::new(1), &sample);
+            assert_matches_reference(&Pool::new(3), &sample);
+        }
+    }
+
+    /// An MCD estimator without its own `train_flat`: the trait default
+    /// (materialize rows, then `train`) is the contract the columnar fit
+    /// must keep.
+    struct RowsOnly(McdEstimator);
+
+    impl Estimator for RowsOnly {
+        fn train(&mut self, sample: &[Vec<f64>]) -> Result<()> {
+            self.0.train(sample)
+        }
+        fn score(&self, metrics: &[f64]) -> Result<f64> {
+            self.0.score(metrics)
+        }
+        fn dimension(&self) -> Option<usize> {
+            self.0.dimension()
+        }
+    }
+
+    #[test]
+    fn flat_training_reports_the_row_path_errors() {
+        let mut rng = SplitMix64::new(5);
+        let good: Vec<f64> = gaussian_cloud(&mut rng, 40, &[0.0, 0.0], 1.0).concat();
+        let with = |at: usize, value: f64| {
+            let mut flat = good.clone();
+            flat[at] = value;
+            flat
+        };
+        let narrow = FastMcdConfig {
+            support_fraction: 0.3,
+            ..FastMcdConfig::default()
+        };
+        let cases: Vec<(&str, Vec<f64>, usize, FastMcdConfig, StatsError)> = vec![
+            (
+                "empty buffer",
+                vec![],
+                2,
+                FastMcdConfig::default(),
+                StatsError::EmptyInput,
+            ),
+            (
+                "zero dimension",
+                good.clone(),
+                0,
+                FastMcdConfig::default(),
+                StatsError::EmptyInput,
+            ),
+            (
+                "ragged length",
+                good[..7].to_vec(),
+                2,
+                FastMcdConfig::default(),
+                StatsError::DimensionMismatch {
+                    expected: 2,
+                    actual: 1,
+                },
+            ),
+            (
+                "NaN",
+                with(31, f64::NAN),
+                2,
+                FastMcdConfig::default(),
+                StatsError::NonFinite,
+            ),
+            (
+                "+inf",
+                with(0, f64::INFINITY),
+                2,
+                FastMcdConfig::default(),
+                StatsError::NonFinite,
+            ),
+            (
+                "-inf",
+                with(79, f64::NEG_INFINITY),
+                2,
+                FastMcdConfig::default(),
+                StatsError::NonFinite,
+            ),
+            (
+                "too few rows",
+                good[..6].to_vec(),
+                2,
+                FastMcdConfig::default(),
+                StatsError::InsufficientData {
+                    required: 4,
+                    provided: 3,
+                },
+            ),
+            (
+                "support fraction",
+                good.clone(),
+                2,
+                narrow,
+                StatsError::InvalidParameter(
+                    "support_fraction must be in [0.5, 1.0], got 0.3".to_string(),
+                ),
+            ),
+        ];
+        for (name, flat, dim, config, expected) in cases {
+            let rows: Vec<Vec<f64>> = if dim == 0 {
+                vec![Vec::new()]
+            } else {
+                flat.chunks(dim).map(<[f64]>::to_vec).collect()
+            };
+            let mut columnar = McdEstimator::new(config.clone());
+            let mut row_major = McdEstimator::new(config.clone());
+            let mut default_flat = RowsOnly(McdEstimator::new(config));
+            let outcomes = [
+                columnar.train_flat(&flat, dim),
+                row_major.train(&rows),
+                default_flat.train_flat(&flat, dim),
+            ];
+            assert_eq!(
+                outcomes,
+                [Err(expected.clone()), Err(expected.clone()), Err(expected)],
+                "{name}"
+            );
+            assert!(!columnar.is_trained(), "{name}");
         }
     }
 
