@@ -20,16 +20,16 @@
 //!    broadcast model stays a pure function of the batch and seed.
 //! 2. **One threshold** — the percentile cutoff is computed over the merged
 //!    score vector, not per partition.
-//! 3. **Merged explanation state** — each partition builds a pre-render
-//!    [`ExplainState`](mb_explain::partition::ExplainState) (encoded itemset
-//!    counts + class totals); states merge on items
-//!    ([`Mergeable`](mb_explain::Mergeable)) and support/risk-ratio
-//!    thresholds apply to the *merged* counts.
+//! 3. **Merged counts** — the explanation runs Algorithm 2 once over the
+//!    outlier rows and scatters its two inlier counting passes over the
+//!    partitions, which return candidate (then combination) count vectors
+//!    that are summed
+//!    ([`BatchExplainer::explain_labeled`](mb_explain::batch::BatchExplainer::explain_labeled));
+//!    support/risk-ratio thresholds apply to the *merged* counts.
 //!
-//! The result is the one-shot report — same explanation set, same counts up
-//! to floating-point summation order — for any partition count, while the
-//! scoring and counting passes (the bulk of the work) still scale with
-//! cores. The engine lives in [`crate::executor`]; this module keeps the
+//! The result is the one-shot report byte for byte — integer counts sum
+//! exactly — for any partition count, while the scoring and counting
+//! passes (the bulk of the work) still scale with cores. The engine lives in [`crate::executor`]; this module keeps the
 //! deprecated free-function entry point.
 
 use crate::query::{AnalysisConfig, Executor, MdpQuery};
@@ -38,7 +38,7 @@ use crate::Result;
 
 /// Execute `config` over `points` split into `num_partitions` partitions
 /// with a shared trained model, a global score threshold, and merged
-/// explanation state (superseded by
+/// explanation counts (superseded by
 /// [`MdpQuery::execute`](crate::query::MdpQuery::execute) with
 /// [`Executor::Coordinated`](crate::query::Executor)). Produces exactly the
 /// one-shot report for any partition count. Pass `0` for `num_partitions`

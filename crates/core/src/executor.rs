@@ -14,9 +14,16 @@
 //! `execute_one_shot` composes exactly these two; the naïve partitioned
 //! engine runs it per partition; the coordinated engine decomposes the
 //! classifier into fit/score/threshold so one model can be broadcast and one
-//! threshold cut over merged scores, and swaps the explainer's accumulation
-//! for mergeable [`ExplainState`]s — reproducing the one-shot report exactly
-//! at any partition count.
+//! threshold cut over merged scores — reproducing the one-shot report
+//! exactly at any partition count.
+//!
+//! Every batch engine explains through the same partitioned Algorithm 2
+//! ([`BatchExplainer::explain_labeled`]): the steps over the ~1% outlier
+//! rows run once, in row order, and the two inlier counting passes scatter
+//! over contiguous row ranges of the global pool, which exchange count
+//! vectors. The coordinated engine runs it at its partition count, the
+//! one-shot engines at one partition per pool worker. Counts merge by
+//! exact integer addition, so the partition count never changes a report.
 
 use crate::operator::{Classifier, Explainer};
 use crate::parallel::{partition_chunks, resolve_num_partitions, scatter};
@@ -29,9 +36,8 @@ use mb_classify::threshold::StaticThreshold;
 use mb_classify::{Classification, Label};
 use mb_explain::batch::BatchExplainer;
 use mb_explain::encoder::{encode_batch_parallel, AttributeEncoder};
-use mb_explain::partition::ExplainState;
 use mb_explain::risk_ratio::rank_explanations;
-use mb_explain::{ItemBatch, Mergeable};
+use mb_explain::{ExplanationConfig, ItemBatch};
 use mb_fpgrowth::Item;
 use mb_obs::{stage, MetricRegistry, TraceBuilder};
 use mb_stats::mad::MadEstimator;
@@ -280,18 +286,13 @@ impl Explainer for MdpExplainer {
     }
 
     fn explanations(&mut self) -> Vec<RenderedExplanation> {
-        let explainer = BatchExplainer::new(self.config);
-        let labels = &self.labels;
-        let mut explanations = explainer.explain_labeled(&self.batch, |r| labels[r]);
-        rank_explanations(&mut explanations);
-        explanations
-            .into_iter()
-            .map(|e| RenderedExplanation {
-                attributes: self.encoder.describe(&e.items),
-                items: e.items,
-                stats: e.stats,
-            })
-            .collect()
+        explain_encoded(
+            self.config,
+            &self.encoder,
+            &self.batch,
+            &self.labels,
+            resolve_num_partitions(0),
+        )
     }
 }
 
@@ -365,8 +366,20 @@ fn execute_one_shot_impl(
         );
         trace.finish_stage(timer, stage::ENCODE, points.len(), points.len(), encode_shards);
         let timer = trace.start();
-        let explanations = explain_encoded(analysis, &encoder, &batch, &classifications);
-        trace.finish_stage(timer, stage::EXPLAIN, points.len(), explanations.len(), 1);
+        let explanations = explain_encoded(
+            analysis.explanation,
+            &encoder,
+            &batch,
+            &outlier_labels(&classifications),
+            encode_shards,
+        );
+        trace.finish_stage(
+            timer,
+            stage::EXPLAIN,
+            points.len(),
+            explanations.len(),
+            encode_shards,
+        );
         explanations
     };
 
@@ -595,8 +608,20 @@ pub(crate) fn execute_one_shot_with_model(
         );
         trace.finish_stage(timer, stage::ENCODE, points.len(), points.len(), encode_shards);
         let timer = trace.start();
-        let explanations = explain_encoded(analysis, &encoder, &batch, &classifications);
-        trace.finish_stage(timer, stage::EXPLAIN, points.len(), explanations.len(), 1);
+        let explanations = explain_encoded(
+            analysis.explanation,
+            &encoder,
+            &batch,
+            &outlier_labels(&classifications),
+            encode_shards,
+        );
+        trace.finish_stage(
+            timer,
+            stage::EXPLAIN,
+            points.len(),
+            explanations.len(),
+            encode_shards,
+        );
         explanations
     };
 
@@ -625,17 +650,26 @@ pub(crate) fn execute_one_shot_with_model(
     })
 }
 
-/// Explain a labeled columnar batch and render against its encoder — the
-/// shared tail of both one-shot entry points.
+/// Whether each classified row was labeled an outlier.
+fn outlier_labels(classifications: &[Classification]) -> Vec<bool> {
+    classifications
+        .iter()
+        .map(|c| c.label.is_outlier())
+        .collect()
+}
+
+/// Explain a labeled columnar batch with its inlier passes scattered over
+/// `partitions` row ranges of the global pool, rank, and render against
+/// its encoder — the shared tail of every batch engine.
 fn explain_encoded(
-    analysis: &AnalysisConfig,
+    config: ExplanationConfig,
     encoder: &AttributeEncoder,
     batch: &ItemBatch,
-    classifications: &[Classification],
+    labels: &[bool],
+    partitions: usize,
 ) -> Vec<RenderedExplanation> {
-    let explainer = BatchExplainer::new(analysis.explanation);
     let mut explanations =
-        explainer.explain_labeled(batch, |r| classifications[r].label.is_outlier());
+        BatchExplainer::new(config).explain_labeled(mb_pool::global(), batch, labels, partitions);
     rank_explanations(&mut explanations);
     explanations
         .into_iter()
@@ -683,9 +717,22 @@ pub(crate) fn execute_one_shot_encoded(
     let explanations = if parts.analysis.skip_explanation {
         Vec::new()
     } else {
+        let partitions = resolve_num_partitions(0);
         let timer = trace.start();
-        let explanations = explain_encoded(parts.analysis, encoder, items, &classifications);
-        trace.finish_stage(timer, stage::EXPLAIN, items.len(), explanations.len(), 1);
+        let explanations = explain_encoded(
+            parts.analysis.explanation,
+            encoder,
+            items,
+            &outlier_labels(&classifications),
+            partitions,
+        );
+        trace.finish_stage(
+            timer,
+            stage::EXPLAIN,
+            items.len(),
+            explanations.len(),
+            partitions,
+        );
         explanations
     };
 
@@ -750,7 +797,7 @@ fn coordinated_scores<E: Estimator + Sync>(
     // function of the shared model and that row. When tracing, each scatter
     // task carries its own registry shard (rows scored, tasks run) — the
     // thread-local half of the telemetry design, folded below with the same
-    // `Mergeable` algebra the explanation states use.
+    // `Mergeable` algebra as every other scatter.
     let chunk_rows = rows.div_ceil(num_partitions).max(1);
     let classifier_ref = &classifier;
     let tracing = trace.is_enabled();
@@ -780,9 +827,9 @@ fn coordinated_scores<E: Estimator + Sync>(
 }
 
 /// The coordinated partitioned engine: shared trained model, global score
-/// threshold, merged pre-render explanation state. Produces exactly the
-/// one-shot report for any partition count (see the module docs of
-/// [`crate::coordinated`] for the design rationale).
+/// threshold, and the partitioned explanation at `num_partitions`. Produces
+/// exactly the one-shot report for any partition count (see the module
+/// docs of [`crate::coordinated`] for the design rationale).
 pub(crate) fn execute_coordinated(
     parts: QueryParts<'_>,
     points: &[Point],
@@ -877,56 +924,29 @@ pub(crate) fn execute_coordinated(
         );
         trace.finish_stage(timer, stage::ENCODE, points.len(), batch.len(), num_partitions);
 
-        // Scatter: per-partition pre-render explanation state over
-        // contiguous row ranges of the columnar batch. When tracing, each
-        // task also owns a metric-registry shard (rows observed, tasks run),
-        // merged below alongside the explanation states themselves — both
-        // ride the same coordination-free scatter/merge algebra.
-        let chunk_rows = batch.len().div_ceil(num_partitions).max(1);
-        let ranges: Vec<(usize, usize)> = (0..batch.len())
-            .step_by(chunk_rows)
-            .map(|start| (start, (start + chunk_rows).min(batch.len())))
-            .collect();
-        let (batch_ref, labels_ref) = (&batch, &labels);
-        let tracing = trace.is_enabled();
+        // Partitioned Algorithm 2: each contiguous row range counts the
+        // candidates (then the combinations) over its inlier rows and
+        // returns a count vector; the sums are the serial counts exactly.
         let timer = trace.start();
-        let states: Vec<(ExplainState, MetricRegistry)> = scatter(ranges, |(start, end)| {
-            let mut state = ExplainState::new();
-            for (r, &label) in labels_ref.iter().enumerate().take(end).skip(start) {
-                state.observe(batch_ref.row(r), label);
-            }
-            let mut shard = MetricRegistry::new();
-            if tracing {
-                shard.add("explain_rows", (end - start) as u64);
-                shard.add("explain_tasks", 1);
-            }
-            (state, shard)
-        });
-        let explain_batches = states.len();
-
-        // Gather: merge on items, then threshold on the merged counts.
-        let mut merged = ExplainState::new();
-        for (state, shard) in states {
-            merged.merge(state);
-            trace.merge_registry(shard);
+        let rendered = explain_encoded(
+            analysis.explanation,
+            &encoder,
+            &batch,
+            &labels,
+            num_partitions,
+        );
+        let explain_tasks = batch.row_ranges(num_partitions).len();
+        if trace.is_enabled() {
+            let registry = trace.registry();
+            registry.add("explain_rows", batch.len() as u64);
+            registry.add("explain_tasks", explain_tasks as u64);
         }
-        let explainer = BatchExplainer::new(analysis.explanation);
-        let mut explanations = explainer.explain_state(&merged);
-        rank_explanations(&mut explanations);
-        let rendered: Vec<RenderedExplanation> = explanations
-            .into_iter()
-            .map(|e| RenderedExplanation {
-                attributes: encoder.describe(&e.items),
-                items: e.items,
-                stats: e.stats,
-            })
-            .collect();
         trace.finish_stage(
             timer,
             stage::EXPLAIN,
             points.len(),
             rendered.len(),
-            explain_batches,
+            explain_tasks,
         );
         rendered
     };
@@ -1279,6 +1299,50 @@ mod tests {
             rule_only.execute_with_model(&model, &points),
             Err(PipelineError::InvalidConfiguration(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_metrics_are_one_typed_error_on_every_backend() {
+        use crate::query::StreamingOptions;
+        use mb_stats::StatsError;
+        let is_non_finite =
+            |e: &PipelineError| matches!(e, PipelineError::Stats(StatsError::NonFinite));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut points = workload(4_000);
+            points[1_234].metrics[0] = bad;
+            for executor in [
+                Executor::OneShot,
+                Executor::Coordinated { partitions: 2 },
+                Executor::NaivePartitioned { partitions: 2 },
+                Executor::streaming(),
+            ] {
+                let err = query().execute(&executor, &points).unwrap_err();
+                assert!(is_non_finite(&err), "{} on {bad}: {err:?}", executor.name());
+            }
+
+            // A rejected point leaves a streaming session as it was, and
+            // the session keeps accepting finite points.
+            let mut session = query()
+                .into_streaming(&StreamingOptions::default())
+                .unwrap();
+            session.feed(&points[..1_000]).unwrap();
+            let before = session.points_seen();
+            let err = session.observe(&points[1_234]).unwrap_err();
+            assert!(is_non_finite(&err), "session on {bad}: {err:?}");
+            assert_eq!(session.points_seen(), before);
+            session.feed(&points[1_000..1_200]).unwrap();
+            assert_eq!(session.points_seen(), before + 200);
+
+            // Nor does a rejected first point fix the session's dimension.
+            let mut fresh = query()
+                .into_streaming(&StreamingOptions::default())
+                .unwrap();
+            let first = Point::new(vec![1.0, bad], vec!["d0".to_string()]);
+            assert!(is_non_finite(&fresh.observe(&first).unwrap_err()));
+            assert_eq!(fresh.points_seen(), 0);
+            fresh.observe(&points[0]).unwrap();
+            assert_eq!(fresh.points_seen(), 1);
+        }
     }
 
     #[test]

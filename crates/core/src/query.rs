@@ -185,8 +185,9 @@ pub enum Executor {
     OneShot,
     /// Partitioned scale-out with coordination through mergeable state: one
     /// model fitted on the global batch and broadcast, one global threshold
-    /// over the merged scores, per-partition explanation state merged on
-    /// items. Reproduces the one-shot report exactly at any partition count.
+    /// over the merged scores, per-partition explanation counts summed
+    /// before any threshold applies. Reproduces the one-shot report exactly
+    /// at any partition count.
     Coordinated {
         /// Number of partitions; `0` means one per pool worker
         /// ([`crate::parallel::default_num_partitions`]).

@@ -22,6 +22,7 @@ use mb_obs::{stage, MetricRegistry, QueryTrace, StageTimer, StageTrace};
 use mb_stats::mad::MadEstimator;
 use mb_stats::mcd::McdEstimator;
 use mb_stats::zscore::ZScoreEstimator;
+use mb_stats::StatsError;
 
 /// Dispatch between the concrete streaming classifiers, chosen from the
 /// configured estimator resolved against the first observed point's
@@ -150,16 +151,19 @@ impl StreamingEngine {
                     actual: dim,
                 });
             }
-            None => {
-                if dim == 0 {
-                    return Err(PipelineError::InvalidConfiguration(
-                        "streaming points need at least one metric".to_string(),
-                    ));
-                }
-                self.dim = Some(dim);
+            None if dim == 0 => {
+                return Err(PipelineError::InvalidConfiguration(
+                    "streaming points need at least one metric".to_string(),
+                ));
             }
             _ => {}
         }
+        // The batch backends reject non-finite metrics when they fit the
+        // estimator; a streaming model would silently absorb them instead.
+        if self.unsupervised && point.metrics.iter().any(|v| !v.is_finite()) {
+            return Err(PipelineError::Stats(StatsError::NonFinite));
+        }
+        self.dim = Some(dim);
         let tick_start = StageTimer::start_if(self.obs_enabled);
         self.points_seen += 1;
         self.points_since_decay += 1;
@@ -347,9 +351,10 @@ impl StreamingSession {
     /// Observe one point, returning its label.
     ///
     /// A point whose metric dimensionality disagrees with the first accepted
-    /// point is rejected with a typed error *before* any session state
-    /// mutates — counters, reservoirs, and explainer state are untouched and
-    /// the session remains usable.
+    /// point, or (when the query has an unsupervised stage) that carries a
+    /// NaN or infinite metric, is rejected with a typed error *before* any
+    /// session state mutates — counters, reservoirs, and explainer state are
+    /// untouched and the session remains usable.
     pub fn observe(&mut self, point: &Point) -> Result<Label> {
         self.engine.observe(point)
     }

@@ -7,7 +7,7 @@
 //! reference. The paper's naïve mode scales linearly but its accuracy
 //! degrades with partitions (per-partition models and thresholds, rendered
 //! string union); the coordinated mode shares one trained model and merges
-//! pre-render explanation state, reproducing the one-shot explanation set
+//! per-partition explanation counts, reproducing the one-shot explanation set
 //! (Jaccard 1.0) at every partition count.
 //!
 //! Note: the paper's testbed had 48 cores; this harness runs wherever it is

@@ -8,6 +8,15 @@
 //! candidates, mines combinations only over the outliers, and finally makes
 //! one more restricted pass over the inliers to compute combination risk
 //! ratios. The naïve baseline instead mines both classes in full.
+//!
+//! The two inlier passes are the only steps that touch every row, and their
+//! results are count vectors indexed by candidate (or combination) position.
+//! Counts merge by addition, so [`BatchExplainer::explain_labeled`] scatters
+//! both passes over contiguous row ranges on a pool and sums the per-range
+//! vectors: partitions exchange two small count vectors instead of their
+//! rows. Every batch row weighs 1, so each range counts in `u64` and the sum
+//! is the exact integer a serial in-order `f64` accumulation reaches (below
+//! 2^53), which makes the result bit-identical at any partition count.
 
 use crate::items::ItemBatch;
 use crate::partition::ExplainState;
@@ -15,7 +24,128 @@ use crate::risk_ratio::{risk_ratio_from_totals, Explanation, ExplanationStats};
 use crate::ExplanationConfig;
 use mb_fpgrowth::fptree::FpTree;
 use mb_fpgrowth::{FrequentItemset, Item};
+use mb_pool::Pool;
 use std::collections::HashMap;
+
+/// Reusable per-task buffers for the per-row counting steps.
+#[derive(Default)]
+struct RowScratch {
+    /// A row's items restricted to the surviving candidates, sorted.
+    items: Vec<Item>,
+    /// The count positions one row contributes to, each at most once.
+    hits: Vec<usize>,
+}
+
+/// Stage 1b's per-row step: the positions in `candidates` (sorted item ids)
+/// of the distinct candidate items present in `row`.
+fn candidate_hits(row: &[Item], candidates: &[Item], scratch: &mut RowScratch) {
+    let hits = &mut scratch.hits;
+    hits.clear();
+    hits.extend(
+        row.iter()
+            .filter_map(|item| candidates.binary_search(item).ok()),
+    );
+    hits.sort_unstable();
+    hits.dedup();
+}
+
+/// Stage 3's per-row step: the positions in `combos` of the combinations
+/// wholly contained in `row`, testing only items in `surviving` (sorted).
+fn combination_hits(
+    row: &[Item],
+    surviving: &[Item],
+    combos: &[&FrequentItemset],
+    scratch: &mut RowScratch,
+) {
+    let RowScratch { items, hits } = scratch;
+    hits.clear();
+    items.clear();
+    items.extend(
+        row.iter()
+            .copied()
+            .filter(|item| surviving.binary_search(item).is_ok()),
+    );
+    if items.is_empty() {
+        return;
+    }
+    items.sort_unstable();
+    hits.extend(combos.iter().enumerate().filter_map(|(pos, combo)| {
+        combo
+            .items
+            .iter()
+            .all(|item| items.binary_search(item).is_ok())
+            .then_some(pos)
+    }));
+}
+
+/// Where Algorithm 2's two inlier counting passes read their rows: the one
+/// body of [`BatchExplainer`] runs over either source.
+trait InlierRows {
+    /// For each position reported by `hits` on an inlier row, the total
+    /// weight of the inlier rows reporting it (`width` positions).
+    fn count<H>(&self, width: usize, hits: H) -> Vec<f64>
+    where
+        H: Fn(&[Item], &mut RowScratch) + Sync;
+}
+
+/// Weighted transactions, counted serially in transaction order.
+impl InlierRows for [(&[Item], f64)] {
+    fn count<H>(&self, width: usize, hits: H) -> Vec<f64>
+    where
+        H: Fn(&[Item], &mut RowScratch) + Sync,
+    {
+        let mut counts = vec![0.0; width];
+        let mut scratch = RowScratch::default();
+        for (transaction, weight) in self {
+            hits(transaction, &mut scratch);
+            for &pos in &scratch.hits {
+                counts[pos] += weight;
+            }
+        }
+        counts
+    }
+}
+
+/// The unlabeled rows of a columnar batch, counted as one pool task per
+/// contiguous row range; each range returns exact `u64` counts and the
+/// vectors are summed.
+struct ScatteredInliers<'a> {
+    pool: &'a Pool,
+    rows: &'a ItemBatch,
+    labels: &'a [bool],
+    partitions: usize,
+}
+
+impl InlierRows for ScatteredInliers<'_> {
+    fn count<H>(&self, width: usize, hits: H) -> Vec<f64>
+    where
+        H: Fn(&[Item], &mut RowScratch) + Sync,
+    {
+        let partials: Vec<Vec<u64>> =
+            self.pool
+                .map_vec(self.rows.row_ranges(self.partitions), |range| {
+                    let mut counts = vec![0u64; width];
+                    let mut scratch = RowScratch::default();
+                    for r in range {
+                        if self.labels[r] {
+                            continue;
+                        }
+                        hits(self.rows.row(r), &mut scratch);
+                        for &pos in &scratch.hits {
+                            counts[pos] += 1;
+                        }
+                    }
+                    counts
+                });
+        let mut total = vec![0u64; width];
+        for partial in partials {
+            for (sum, count) in total.iter_mut().zip(partial) {
+                *sum += count;
+            }
+        }
+        total.into_iter().map(|count| count as f64).collect()
+    }
+}
 
 /// The outlier-aware batch explainer (Algorithm 2).
 #[derive(Debug, Clone)]
@@ -38,36 +168,50 @@ impl BatchExplainer {
             inliers.iter().map(|t| (t.as_slice(), 1.0)).collect();
         self.explain_weighted(
             &weighted_outliers,
-            &weighted_inliers,
+            weighted_inliers.as_slice(),
             outliers.len() as f64,
             inliers.len() as f64,
         )
     }
 
     /// Produce explanations for one columnar batch of encoded rows, where
-    /// `outlier(r)` says whether row `r` was labeled an outlier. Every row
+    /// `labels[r]` says whether row `r` was labeled an outlier. Every row
     /// counts toward its class total (attribute-less rows included), exactly
     /// as [`explain`](BatchExplainer::explain) over split transaction lists.
+    ///
+    /// The steps over the outlier rows (single counts, FP-growth, the
+    /// combination list) run on the calling thread in row order. The two
+    /// inlier counting passes run on `pool`, one task per contiguous range
+    /// of [`ItemBatch::row_ranges`]`(partitions)`, and exchange only count
+    /// vectors. The result is bit-identical to
+    /// [`explain`](BatchExplainer::explain) at every partition count and
+    /// pool width.
+    ///
+    /// # Panics
+    ///
+    /// If `labels` is shorter than `rows`.
     pub fn explain_labeled(
         &self,
+        pool: &Pool,
         rows: &ItemBatch,
-        outlier: impl Fn(usize) -> bool,
+        labels: &[bool],
+        partitions: usize,
     ) -> Vec<Explanation> {
-        let mut outliers: Vec<(&[Item], f64)> = Vec::new();
-        let mut inliers: Vec<(&[Item], f64)> = Vec::new();
-        for (r, row) in rows.iter().enumerate() {
-            if outlier(r) {
-                outliers.push((row, 1.0));
-            } else {
-                inliers.push((row, 1.0));
-            }
-        }
-        self.explain_weighted(
-            &outliers,
-            &inliers,
-            outliers.len() as f64,
-            inliers.len() as f64,
-        )
+        let outliers: Vec<(&[Item], f64)> = labels[..rows.len()]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &outlier)| outlier)
+            .map(|(r, _)| (rows.row(r), 1.0))
+            .collect();
+        let total_outliers = outliers.len() as f64;
+        let total_inliers = (rows.len() - outliers.len()) as f64;
+        let inliers = ScatteredInliers {
+            pool,
+            rows,
+            labels,
+            partitions,
+        };
+        self.explain_weighted(&outliers, &inliers, total_outliers, total_inliers)
     }
 
     /// Produce explanations from pre-render state — typically the merge of
@@ -84,20 +228,20 @@ impl BatchExplainer {
             inliers.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
         self.explain_weighted(
             &weighted_outliers,
-            &weighted_inliers,
+            weighted_inliers.as_slice(),
             state.total_outliers(),
             state.total_inliers(),
         )
     }
 
     /// The outlier-aware strategy over weighted, possibly pre-aggregated
-    /// transactions. `total_outliers`/`total_inliers` are passed explicitly
-    /// because attribute-less points count toward class totals without
-    /// appearing as transactions.
-    fn explain_weighted(
+    /// outlier transactions and an [`InlierRows`] source. `total_outliers`/
+    /// `total_inliers` are passed explicitly because attribute-less points
+    /// count toward class totals without appearing as transactions.
+    fn explain_weighted<I: InlierRows + ?Sized>(
         &self,
         outliers: &[(&[Item], f64)],
-        inliers: &[(&[Item], f64)],
+        inliers: &I,
         total_outliers: f64,
         total_inliers: f64,
     ) -> Vec<Explanation> {
@@ -113,10 +257,10 @@ impl BatchExplainer {
     /// the final actual-ratio filter anyway, so pruning on the ceiling (at
     /// candidate selection and inside FP-growth, where extension support can
     /// only shrink) is output-identical by construction.
-    fn explain_weighted_impl(
+    fn explain_weighted_impl<I: InlierRows + ?Sized>(
         &self,
         outliers: &[(&[Item], f64)],
-        inliers: &[(&[Item], f64)],
+        inliers: &I,
         total_outliers: f64,
         total_inliers: f64,
         prune: bool,
@@ -169,21 +313,9 @@ impl BatchExplainer {
 
         // Stage 1b: one pass over the inliers counting ONLY the supported
         // candidates (this is the cardinality-aware pruning).
-        let mut candidate_inlier_counts: Vec<f64> = vec![0.0; candidates.len()];
-        let mut seen_pos: Vec<usize> = Vec::new();
-        for (transaction, weight) in inliers {
-            seen_pos.clear();
-            seen_pos.extend(
-                transaction
-                    .iter()
-                    .filter_map(|item| candidate_items.binary_search(item).ok()),
-            );
-            seen_pos.sort_unstable();
-            seen_pos.dedup();
-            for &pos in &seen_pos {
-                candidate_inlier_counts[pos] += weight;
-            }
-        }
+        let candidate_inlier_counts = inliers.count(candidates.len(), |row, scratch| {
+            candidate_hits(row, &candidate_items, scratch)
+        });
 
         // Stage 1c: filter candidates by single-item risk ratio (sorted
         // order is preserved).
@@ -230,32 +362,13 @@ impl BatchExplainer {
         // restricted pass over the inliers to obtain their inlier counts,
         // accumulated positionally alongside `combos`.
         let combos: Vec<&FrequentItemset> = mined.iter().filter(|m| m.len() >= 2).collect();
-        let mut combo_inlier_counts: Vec<f64> = vec![0.0; combos.len()];
-        if !combos.is_empty() {
-            let mut present: Vec<Item> = Vec::new();
-            for (transaction, weight) in inliers {
-                present.clear();
-                present.extend(
-                    transaction
-                        .iter()
-                        .copied()
-                        .filter(|item| surviving.binary_search(item).is_ok()),
-                );
-                if present.is_empty() {
-                    continue;
-                }
-                present.sort_unstable();
-                for (pos, combo) in combos.iter().enumerate() {
-                    if combo
-                        .items
-                        .iter()
-                        .all(|item| present.binary_search(item).is_ok())
-                    {
-                        combo_inlier_counts[pos] += weight;
-                    }
-                }
-            }
-        }
+        let combo_inlier_counts = if combos.is_empty() {
+            Vec::new()
+        } else {
+            inliers.count(combos.len(), |row, scratch| {
+                combination_hits(row, &surviving, &combos, scratch)
+            })
+        };
 
         let mut explanations = Vec::new();
         let mut combo_pos = 0;
@@ -559,9 +672,135 @@ mod tests {
         }
         let explainer = BatchExplainer::new(ExplanationConfig::new(0.01, 3.0));
         assert_same_explanations(
-            explainer.explain_labeled(&batch, |r| labels[r]),
+            explainer.explain_labeled(&Pool::new(2), &batch, &labels, 4),
             explainer.explain(&outliers, &inliers),
         );
+    }
+
+    /// Pools of width 1 and 3, shared by the bit-identity tests.
+    fn pools() -> &'static [Pool; 2] {
+        static POOLS: std::sync::OnceLock<[Pool; 2]> = std::sync::OnceLock::new();
+        POOLS.get_or_init(|| [Pool::new(1), Pool::new(3)])
+    }
+
+    /// `explain_labeled` at partitions 1..=8 on both pools must equal
+    /// `explain` over the same rows split by label: same explanations in
+    /// the same order, every stats field equal bit for bit.
+    fn check_labeled_bit_identity(
+        explainer: &BatchExplainer,
+        rows: &ItemBatch,
+        labels: &[bool],
+    ) -> Result<(), String> {
+        let (mut outliers, mut inliers) = (Vec::new(), Vec::new());
+        for (row, &outlier) in rows.iter().zip(labels) {
+            if outlier {
+                outliers.push(row.to_vec());
+            } else {
+                inliers.push(row.to_vec());
+            }
+        }
+        let reference = explainer.explain(&outliers, &inliers);
+        let bits = |s: &ExplanationStats| {
+            [
+                s.outlier_count,
+                s.inlier_count,
+                s.outlier_support,
+                s.risk_ratio,
+                s.total_outliers,
+                s.total_inliers,
+            ]
+            .map(f64::to_bits)
+        };
+        for pool in pools() {
+            for partitions in 1..=8 {
+                let labeled = explainer.explain_labeled(pool, rows, labels, partitions);
+                let same = labeled.len() == reference.len()
+                    && labeled
+                        .iter()
+                        .zip(&reference)
+                        .all(|(a, b)| a.items == b.items && bits(&a.stats) == bits(&b.stats));
+                if !same {
+                    return Err(format!(
+                        "{} threads, {partitions} partitions: {labeled:?} != {reference:?}",
+                        pool.num_threads()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn explain_labeled_is_bit_identical_on_edge_batches() {
+        let explainer = BatchExplainer::new(ExplanationConfig::new(0.05, 2.0));
+        let (outliers, inliers) = planted_workload(40, 400, 0.7);
+        let planted: ItemBatch = outliers.iter().chain(&inliers).cloned().collect();
+        let mut planted_labels = vec![true; outliers.len()];
+        planted_labels.resize(planted.len(), false);
+        let varied: ItemBatch = (0..300u32)
+            .map(|i| match i % 4 {
+                0 => Vec::new(),
+                1 => vec![i % 7, i % 7, 20 + i % 3],
+                _ => vec![i % 7, 20 + i % 3],
+            })
+            .collect();
+        let varied_labels: Vec<bool> = (0..300).map(|i| i % 7 == 3).collect();
+        let cases: [(&str, ItemBatch, Vec<bool>); 6] = [
+            ("empty batch", ItemBatch::new(), Vec::new()),
+            ("all inliers", varied.clone(), vec![false; varied.len()]),
+            ("all outliers", varied.clone(), vec![true; varied.len()]),
+            (
+                "attribute-less rows",
+                (0..50).map(|_| Vec::new()).collect(),
+                (0..50).map(|i| i % 5 == 0).collect(),
+            ),
+            ("duplicate items within rows", varied, varied_labels),
+            ("planted pair", planted, planted_labels),
+        ];
+        for (name, rows, labels) in &cases {
+            if let Err(message) = check_labeled_bit_identity(&explainer, rows, labels) {
+                panic!("{name}: {message}");
+            }
+        }
+    }
+
+    mod labeled_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const MAX_ROWS: usize = 150;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            // Random rows (empty ones and repeated items included), a random
+            // outlier share from none to all, and up to 40 appended rows
+            // carrying a planted pair, nine in ten of them outliers: the
+            // partitioned explain must be bit-identical to the serial one at
+            // every partition count.
+            #[test]
+            fn partitioned_explain_labeled_equals_explain(
+                rows in prop::collection::vec(prop::collection::vec(0u32..10, 0..6), 0..MAX_ROWS),
+                draws in prop::collection::vec(0u8..100, MAX_ROWS + 40..MAX_ROWS + 41),
+                outlier_percent in 0u8..101,
+                planted in 0usize..40,
+                min_support in 0.01f64..0.5,
+                min_risk_ratio in 1.0f64..10.0,
+            ) {
+                let explainer = BatchExplainer::new(
+                    ExplanationConfig::new(min_support, min_risk_ratio),
+                );
+                let mut batch: ItemBatch = rows.into_iter().collect();
+                let mut labels: Vec<bool> = (0..batch.len())
+                    .map(|r| draws[r] < outlier_percent)
+                    .collect();
+                for i in 0..planted {
+                    batch.push_row(&[1, 2, (i % 3) as Item]);
+                    labels.push(draws[MAX_ROWS + i] < 90);
+                }
+                check_labeled_bit_identity(&explainer, &batch, &labels)?;
+            }
+        }
     }
 
     #[test]
@@ -572,8 +811,8 @@ mod tests {
         let wi: Vec<(&[Item], f64)> = inliers.iter().map(|t| (t.as_slice(), 1.0)).collect();
         let (to, ti) = (outliers.len() as f64, inliers.len() as f64);
         assert_same_explanations(
-            explainer.explain_weighted_impl(&wo, &wi, to, ti, true),
-            explainer.explain_weighted_impl(&wo, &wi, to, ti, false),
+            explainer.explain_weighted_impl(&wo, wi.as_slice(), to, ti, true),
+            explainer.explain_weighted_impl(&wo, wi.as_slice(), to, ti, false),
         );
     }
 
@@ -613,8 +852,8 @@ mod tests {
                 let wi: Vec<(&[Item], f64)> =
                     inliers.iter().map(|t| (t.as_slice(), 1.0)).collect();
                 let (to, ti) = (outliers.len() as f64, inliers.len() as f64);
-                let pruned = explainer.explain_weighted_impl(&wo, &wi, to, ti, true);
-                let unpruned = explainer.explain_weighted_impl(&wo, &wi, to, ti, false);
+                let pruned = explainer.explain_weighted_impl(&wo, wi.as_slice(), to, ti, true);
+                let unpruned = explainer.explain_weighted_impl(&wo, wi.as_slice(), to, ti, false);
                 assert_same_explanations(pruned, unpruned);
             }
         }

@@ -10,6 +10,7 @@
 //! inlier counting, FP-tree construction) walks dense arrays.
 
 use mb_fpgrowth::Item;
+use std::ops::Range;
 
 /// A batch of item transactions in struct-of-arrays (CSR) form: a flat item
 /// array plus a row-offset table (`offsets.len() == rows + 1`).
@@ -99,6 +100,18 @@ impl ItemBatch {
         &mut self.items
     }
 
+    /// Split the rows into at most `partitions` contiguous ranges of equal
+    /// length (the last may be shorter), in row order; `0` counts as `1`.
+    /// An empty batch has no ranges.
+    pub fn row_ranges(&self, partitions: usize) -> Vec<Range<usize>> {
+        let rows = self.len();
+        let chunk = rows.div_ceil(partitions.max(1)).max(1);
+        (0..rows)
+            .step_by(chunk)
+            .map(|start| start..(start + chunk).min(rows))
+            .collect()
+    }
+
     /// Copy into the row-major `Vec<Vec<Item>>` layout.
     pub fn to_rows(&self) -> Vec<Vec<Item>> {
         self.iter().map(|row| row.to_vec()).collect()
@@ -173,5 +186,16 @@ mod tests {
         for (r, row) in via_iter.iter().enumerate() {
             assert_eq!(*row, batch.row(r));
         }
+    }
+
+    #[test]
+    fn row_ranges_tile_the_batch_in_order() {
+        let batch: ItemBatch = (0..10).map(|i| vec![i]).collect();
+        assert_eq!(batch.row_ranges(3), vec![0..4, 4..8, 8..10]);
+        assert_eq!(batch.row_ranges(0), vec![0..10]);
+        assert_eq!(batch.row_ranges(1), vec![0..10]);
+        // More partitions than rows: one row each, no empty ranges.
+        assert_eq!(batch.row_ranges(16).len(), 10);
+        assert!(ItemBatch::new().row_ranges(4).is_empty());
     }
 }

@@ -12,15 +12,16 @@
 //!   array + row offsets) the encode pass produces and the batch pipeline
 //!   consumes, so strings stop flowing past ingestion.
 //! * [`mod@risk_ratio`] — the risk-ratio statistic and explanation types.
-//! * [`batch`] — the outlier-aware batch explanation strategy (Algorithm 2)
+//! * [`batch`] — the outlier-aware batch explanation strategy (Algorithm 2),
+//!   with its inlier counting passes scattered over row ranges of a pool,
 //!   plus the naïve "mine both sides with FPGrowth" baseline it is compared
 //!   against in Section 6.3.
 //! * [`streaming`] — the streaming explainer built from AMC sketches and
 //!   M-CPS-trees (Figure 2, right half).
 //! * [`partition`] — pre-render explanation state ([`ExplainState`]) that
-//!   merges across partitions ([`Mergeable`]), enabling coordinated
-//!   scale-out: per-partition counts merge on items and risk ratios are
-//!   computed from the merged counts.
+//!   merges across partitions ([`Mergeable`]), for callers that partition
+//!   a batch themselves: per-partition counts merge on items and risk
+//!   ratios are computed from the merged counts.
 //! * [`baselines`] — data cubing, decision-tree, and Apriori explainers used
 //!   in the Table 5 runtime comparison.
 //!

@@ -1,21 +1,29 @@
-//! Pre-render explanation state for coordinated partitioned execution.
+//! Pre-render explanation state that merges across partitions.
 //!
 //! The naïve scale-out of Appendix D unions *rendered* explanations, which
 //! over- or under-reports combinations straddling partitions: each partition
 //! prunes by its own local support and risk ratio before any cross-partition
-//! reconciliation can happen. [`ExplainState`] fixes this by capturing the
+//! reconciliation can happen. [`ExplainState`] avoids this by capturing the
 //! explainer's state *before* any thresholding or rendering — the encoded
 //! itemset counts of each class (stored as weighted prefix trees) plus the
 //! outlier/inlier totals. Partition states merge on items
 //! ([`Mergeable::merge`]), and risk ratios are computed once from the merged
-//! counts ([`crate::batch::BatchExplainer::explain_state`]), so the
-//! coordinated result is exactly the one-shot result.
+//! counts ([`crate::batch::BatchExplainer::explain_state`]), so the merged
+//! result is exactly the one-shot result.
+//!
+//! The batch engines no longer build it: they run the partitioned
+//! [`crate::batch::BatchExplainer::explain_labeled`], whose partitions
+//! exchange count vectors over the outlier-side candidates instead of whole
+//! prefix trees. `ExplainState` is the public mergeable state for external
+//! callers that partition a batch themselves, such as a caller holding
+//! per-partition row sets that never share one `ItemBatch`.
 
 use mb_fpgrowth::cps::StreamingPrefixTree;
 use mb_fpgrowth::Item;
 use mb_sketch::Mergeable;
 
-/// Thresholding-free explanation state: per-class itemset counts + totals.
+/// Thresholding-free explanation state: per-class itemset counts + totals,
+/// a public [`Mergeable`] state for external partitioned callers.
 ///
 /// Feed every classified point's encoded attribute items through
 /// [`observe`], merge states across partitions, then hand the merged state

@@ -11,6 +11,7 @@
 //! ever changing a report.
 
 use crate::fingerprint::Fingerprint;
+use crate::sync::{lock, wait};
 use macrobase_core::executor::FittedModel;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -68,11 +69,7 @@ impl Drop for PublishOnDrop<'_> {
         // The slot lock is never held while `train` runs, so it cannot be
         // poisoned by the trainer's panic; recovering keeps this drop (which
         // may run during an unwind) from panicking regardless.
-        let mut state = self
-            .slot
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = lock(&self.slot.state);
         *state = std::mem::replace(&mut self.state, SlotState::Training);
         self.slot.cond.notify_all();
     }
@@ -104,7 +101,7 @@ impl ModelCache {
         F: FnOnce() -> Result<FittedModel, String>,
     {
         let (slot, trainer) = {
-            let mut slots = self.slots.lock().expect("model cache poisoned");
+            let mut slots = lock(&self.slots);
             match slots.get(&fingerprint) {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
@@ -141,7 +138,7 @@ impl ModelCache {
             return result;
         }
 
-        let mut state = slot.state.lock().expect("model slot poisoned");
+        let mut state = lock(&slot.state);
         loop {
             match &*state {
                 SlotState::Ready(snapshot) => {
@@ -149,10 +146,7 @@ impl ModelCache {
                 }
                 SlotState::Failed(message) => return Err(message.clone()),
                 SlotState::Training => {
-                    state = slot
-                        .cond
-                        .wait(state)
-                        .expect("model slot poisoned");
+                    state = wait(&slot.cond, state);
                 }
             }
         }
@@ -162,10 +156,10 @@ impl ModelCache {
     /// Never blocks on an in-flight training.
     pub fn peek(&self, fingerprint: Fingerprint) -> Option<Arc<ModelSnapshot>> {
         let slot = {
-            let slots = self.slots.lock().expect("model cache poisoned");
+            let slots = lock(&self.slots);
             slots.get(&fingerprint).map(Arc::clone)?
         };
-        let state = slot.state.lock().expect("model slot poisoned");
+        let state = lock(&slot.state);
         match &*state {
             SlotState::Ready(snapshot) => Some(Arc::clone(snapshot)),
             _ => None,
@@ -181,14 +175,14 @@ impl ModelCache {
         F: FnOnce() -> Result<FittedModel, String>,
     {
         let slot = {
-            let slots = self.slots.lock().expect("model cache poisoned");
+            let slots = lock(&self.slots);
             slots
                 .get(&fingerprint)
                 .map(Arc::clone)
                 .ok_or_else(|| "no model published for this fingerprint".to_string())?
         };
         let current_epoch = {
-            let state = slot.state.lock().expect("model slot poisoned");
+            let state = lock(&slot.state);
             match &*state {
                 SlotState::Ready(snapshot) => snapshot.epoch,
                 SlotState::Training => {
@@ -200,7 +194,7 @@ impl ModelCache {
         // Train with no lock held: in-flight scorers keep reading the
         // current snapshot for the entire duration.
         let model = train()?;
-        let mut state = slot.state.lock().expect("model slot poisoned");
+        let mut state = lock(&slot.state);
         let epoch = match &*state {
             // Concurrent retrains may have advanced the epoch while this
             // one trained; publish after the newest.

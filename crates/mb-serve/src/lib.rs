@@ -59,6 +59,7 @@ pub mod cache;
 pub mod fingerprint;
 pub mod scheduler;
 pub mod server;
+mod sync;
 pub mod wire;
 
 pub use cache::{CacheOutcome, ModelCache, ModelSnapshot};

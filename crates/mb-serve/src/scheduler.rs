@@ -7,6 +7,7 @@
 //! control (how many queries run at once) independent of execution
 //! parallelism (how many cores each query uses).
 
+use crate::sync::{lock, wait};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -139,7 +140,7 @@ impl Scheduler {
         priority: Priority,
         work: Box<dyn FnOnce() + Send>,
     ) -> Result<(), Saturated> {
-        let mut queues = self.shared.queues.lock().expect("scheduler poisoned");
+        let mut queues = lock(&self.shared.queues);
         let queued = queues.len();
         if queued >= self.limit {
             return Err(Saturated {
@@ -165,23 +166,19 @@ impl Scheduler {
     /// the job already started (or never existed) — the caller then handles
     /// running-job cancellation itself.
     pub fn cancel(&self, id: &str) -> bool {
-        self.shared
-            .queues
-            .lock()
-            .expect("scheduler poisoned")
-            .remove(id)
+        lock(&self.shared.queues).remove(id)
     }
 
     /// Number of jobs waiting for a worker (all classes).
     pub fn depth(&self) -> usize {
-        self.shared.queues.lock().expect("scheduler poisoned").len()
+        lock(&self.shared.queues).len()
     }
 }
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
         {
-            let mut queues = self.shared.queues.lock().expect("scheduler poisoned");
+            let mut queues = lock(&self.shared.queues);
             queues.shutdown = true;
         }
         self.shared.cond.notify_all();
@@ -194,7 +191,7 @@ impl Drop for Scheduler {
 fn worker_loop(shared: &SchedulerShared) {
     loop {
         let job = {
-            let mut queues = shared.queues.lock().expect("scheduler poisoned");
+            let mut queues = lock(&shared.queues);
             loop {
                 if let Some(job) = queues.pop() {
                     break job;
@@ -202,10 +199,12 @@ fn worker_loop(shared: &SchedulerShared) {
                 if queues.shutdown {
                     return;
                 }
-                queues = shared.cond.wait(queues).expect("scheduler poisoned");
+                queues = wait(&shared.cond, queues);
             }
         };
-        (job.work)();
+        // Backstop: a job's own code publishes its outcome (the server maps
+        // a panic to a failed job), but no job may take its worker down.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job.work));
     }
 }
 
@@ -298,5 +297,23 @@ mod tests {
         gate_tx.send(()).unwrap();
         drop(scheduler); // joins workers, draining the queue
         assert_eq!(ran.load(Ordering::SeqCst), 2); // a + c, not b
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_take_its_worker_down() {
+        let scheduler = Scheduler::start(1, 4);
+        scheduler
+            .submit("boom", Priority::Normal, Box::new(|| panic!("job died")))
+            .unwrap();
+        let (tx, rx) = mpsc::channel();
+        scheduler
+            .submit(
+                "next",
+                Priority::Normal,
+                Box::new(move || tx.send(()).unwrap()),
+            )
+            .unwrap();
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the only worker must survive a panicking job");
     }
 }

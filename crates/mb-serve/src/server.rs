@@ -11,24 +11,15 @@
 use crate::cache::{CacheOutcome, ModelCache, ModelSnapshot};
 use crate::fingerprint::Fingerprint;
 use crate::scheduler::{Priority, Saturated, Scheduler};
+use crate::sync::lock;
 use macrobase_core::query::{AnalysisConfig, Executor, MdpQuery, StreamingOptions};
 use macrobase_core::streaming::StreamingSession;
 use macrobase_core::types::{MdpReport, Point};
 use mb_obs::MetricRegistry;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Acquire a mutex, recovering from poisoning instead of panicking. A
-/// poisoned lock means some other thread panicked mid-update; the server's
-/// shared maps (jobs, sessions, registry) are valid after every individual
-/// insert/remove, so continuing with the inner guard is safe — and a
-/// resident server must never let one query's panic cascade into a
-/// process-wide one. Behaves identically to `.lock().expect(..)` when the
-/// lock is healthy.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Server construction knobs.
 #[derive(Debug, Clone)]
@@ -216,6 +207,15 @@ impl Server {
         points: Vec<Point>,
         priority: Priority,
     ) -> Result<(), ServeError> {
+        self.submit_job(id, priority, move |inner| execute_job(inner, spec, points))
+    }
+
+    /// Register a job under `id` and enqueue `execute` for a worker, which
+    /// publishes its outcome (or its panic) as the job's terminal status.
+    fn submit_job<F>(&self, id: &str, priority: Priority, execute: F) -> Result<(), ServeError>
+    where
+        F: FnOnce(&Inner) -> JobOutcome + Send + 'static,
+    {
         {
             let sessions = lock(&self.inner.sessions);
             if sessions.contains_key(id) {
@@ -239,7 +239,7 @@ impl Server {
         }
         let inner = Arc::clone(&self.inner);
         let job_id = id.to_string();
-        let work = Box::new(move || run_job(&inner, &job_id, spec, points));
+        let work = Box::new(move || run_job(&inner, &job_id, execute));
         if let Err(saturated) = self.scheduler.submit(id, priority, work) {
             let mut jobs = lock(&self.inner.jobs);
             jobs.remove(id);
@@ -483,8 +483,13 @@ fn build_session(
         .map_err(|e| ServeError::Query(e.to_string()))
 }
 
-/// Execute one job on a worker thread and publish its terminal status.
-fn run_job(inner: &Inner, id: &str, spec: QuerySpec, points: Vec<Point>) {
+/// Execute one job on a worker thread and publish its terminal status. A
+/// panic inside `execute` becomes a `Failed` status like any other error,
+/// so pollers are woken and the worker goes on to its next job.
+fn run_job<F>(inner: &Inner, id: &str, execute: F)
+where
+    F: FnOnce(&Inner) -> JobOutcome,
+{
     // Claim the job; a close() racing ahead of the worker wins.
     {
         let mut jobs = lock(&inner.jobs);
@@ -505,7 +510,8 @@ fn run_job(inner: &Inner, id: &str, spec: QuerySpec, points: Vec<Point>) {
     }
 
     let exec_start = Instant::now();
-    let (outcome, retrain_source) = execute_job(inner, spec, points);
+    let (outcome, retrain_source) = catch_unwind(AssertUnwindSafe(|| execute(inner)))
+        .unwrap_or_else(|payload| (Err(panic_message(payload.as_ref())), None));
     inner.record_ns(
         "exec_ns",
         u64::try_from(exec_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -537,11 +543,21 @@ fn run_job(inner: &Inner, id: &str, spec: QuerySpec, points: Vec<Point>) {
 
 type RetrainSource = Option<(Fingerprint, AnalysisConfig, Arc<Vec<Point>>)>;
 
-fn execute_job(
-    inner: &Inner,
-    spec: QuerySpec,
-    points: Vec<Point>,
-) -> (Result<JobResult, String>, RetrainSource) {
+/// What executing a job yields: its result and, for cached one-shot jobs,
+/// what a later retrain needs.
+type JobOutcome = (Result<JobResult, String>, RetrainSource);
+
+/// The `Failed` message for a job whose execution panicked.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let detail = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    format!("job panicked: {detail}")
+}
+
+fn execute_job(inner: &Inner, spec: QuerySpec, points: Vec<Point>) -> JobOutcome {
     match spec.executor {
         Executor::OneShot => {
             let fingerprint = Fingerprint::compute(&spec.analysis, &points);
@@ -591,5 +607,56 @@ fn execute_job(
                 .map_err(|e| e.to_string());
             (result, None)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn a_panicking_job_fails_and_its_worker_runs_the_next_job() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let (worker_tx, worker_rx) = mpsc::channel();
+        let first_worker = worker_tx.clone();
+        server
+            .submit_job("boom", Priority::Normal, move |_| {
+                first_worker.send(std::thread::current().id()).unwrap();
+                panic!("estimator exploded");
+            })
+            .unwrap();
+        // Bounded: a job left `Running` by its panic fails the test here
+        // instead of hanging it.
+        match server.poll("boom", Some(Duration::from_secs(30))).unwrap() {
+            JobStatus::Failed(message) => {
+                assert_eq!(message, "job panicked: estimator exploded")
+            }
+            other => panic!("a panicking job must fail, got {other:?}"),
+        }
+        assert_eq!(server.stats().counter("jobs_failed"), 1);
+
+        let points: Vec<Point> = (0..500)
+            .map(|i| Point::simple(10.0 + (i % 7) as f64 * 0.2, format!("d{}", i % 10)))
+            .collect();
+        let spec = QuerySpec {
+            analysis: AnalysisConfig::default(),
+            executor: Executor::OneShot,
+        };
+        server
+            .submit_job("next", Priority::Normal, move |inner| {
+                worker_tx.send(std::thread::current().id()).unwrap();
+                execute_job(inner, spec, points)
+            })
+            .unwrap();
+        let status = server.poll("next", Some(Duration::from_secs(30))).unwrap();
+        assert!(matches!(status, JobStatus::Done(_)), "got {status:?}");
+        let workers: Vec<_> = worker_rx.try_iter().collect();
+        assert_eq!(workers.len(), 2);
+        assert_eq!(workers[0], workers[1], "both jobs ran on the one worker");
+        assert_eq!(server.stats().counter("jobs_completed"), 1);
     }
 }

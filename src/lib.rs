@@ -64,7 +64,7 @@
 //! }));
 //!
 //! // ...any engine. Coordinated partitioned execution shares one trained
-//! // model and merges pre-render explanation state, so the report is exactly
+//! // model and merges per-partition explanation counts, so the report is exactly
 //! // the one-shot report at any partition count (unlike
 //! // `Executor::NaivePartitioned`, whose accuracy degrades with cores).
 //! let mut query = MdpQuery::with_defaults();
